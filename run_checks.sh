@@ -19,12 +19,8 @@
 #                   modes (DESIGN.md §10). Implied by MUTPS_DST=1.
 # MUTPS_DST_CLUSTER=1 additionally runs the cluster DST sweep: primary-crash
 #                   failover, migration racing retransmits, and partition-heal
-#                   linearizability at 20 seeds each, on the serial engine and
-#                   again under MUTPS_SIM_THREADS=4 (DESIGN.md §14). Implied
+#                   linearizability at 20 seeds each (DESIGN.md §14). Implied
 #                   by MUTPS_DST=1.
-# MUTPS_TSAN=1      additionally builds the "tsan" preset (build-tsan/) and
-#                   runs the parallel-backend tests under ThreadSanitizer —
-#                   the race-freedom CI job for sim/parallel.h (DESIGN.md §11).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -49,19 +45,11 @@ fi
 rm -f /tmp/golden_rows.$$ /tmp/golden_committed.$$
 echo "=== golden rows match ==="
 
-# Parallel-backend equivalence (DESIGN.md §11): the partitioned engine must
-# reproduce the serial engine's results exactly for any host-thread count.
-# --no-tests=error so a silently unregistered test fails the stage instead of
-# vacuously passing.
-echo "=== parallel-backend equivalence (serial vs MUTPS_SIM_THREADS) ==="
-ctest --preset default -R 'par_engine_test|par_equiv_test' --no-tests=error \
-  -j "$(nproc)"
-echo "=== parallel backend matches serial ==="
-
 # Sampled-simulation validation (DESIGN.md §12): extrapolated estimates must
 # stay within the 5% error bound of full-detail runs, and sampled rows must
-# be byte-deterministic per (seed, window plan) — in-process, in a fresh
-# subprocess, and across backends. --no-tests=error as above.
+# be byte-deterministic per (seed, window plan) — in-process and in a fresh
+# subprocess. --no-tests=error so a silently unregistered test fails the
+# stage instead of vacuously passing.
 echo "=== MUTPS_SAMPLE validation (error bound + determinism) ==="
 ctest --preset default -R 'sample_equiv_test|sample_determinism_test' \
   --no-tests=error -j "$(nproc)"
@@ -150,15 +138,10 @@ fi
 
 if [ "${MUTPS_DST_CLUSTER:-0}" != "0" ] || [ "${MUTPS_DST:-0}" != "0" ]; then
   echo "=== DST cluster sweep (failover/migration/partition x 20 seeds) ==="
-  # 3 fixed seeds + 17 extra = 20 seeds per profile; then the same sweep on
-  # the parallel backend (cluster mode is deterministic per backend, see
-  # DESIGN.md §14, so each backend is swept in its own right).
+  # 3 fixed seeds + 17 extra = 20 seeds per profile.
   MUTPS_DST_FAULT_SEEDS="${MUTPS_DST_FAULT_SEEDS:-17}" \
     ./build/tests/dst/dst_fault_test --gtest_filter='DstCluster.*'
-  echo "=== cluster sweep passed (serial) ==="
-  MUTPS_DST_FAULT_SEEDS="${MUTPS_DST_FAULT_SEEDS:-17}" MUTPS_SIM_THREADS=4 \
-    ./build/tests/dst/dst_fault_test --gtest_filter='DstCluster.*'
-  echo "=== cluster sweep passed (MUTPS_SIM_THREADS=4) ==="
+  echo "=== cluster sweep passed ==="
 fi
 
 if [ "${MUTPS_DST:-0}" != "0" ]; then
@@ -168,14 +151,4 @@ if [ "${MUTPS_DST:-0}" != "0" ]; then
   MUTPS_DST_SEEDS="${MUTPS_DST_SEEDS:-6}" \
     ctest --preset asan -R "$CHECKS" -j "$(nproc)"
   echo "=== sanitized DST sweep passed ==="
-fi
-
-if [ "${MUTPS_TSAN:-0}" != "0" ]; then
-  echo "=== parallel-backend tests under ThreadSanitizer (preset tsan) ==="
-  cmake --preset tsan >/dev/null
-  cmake --build --preset tsan --target par_engine_test par_equiv_test \
-    -j "$(nproc)"
-  ctest --preset tsan -R 'par_engine_test|par_equiv_test' --no-tests=error \
-    -j "$(nproc)"
-  echo "=== parallel backend is TSan-clean ==="
 fi

@@ -49,9 +49,6 @@ class ClusterClient {
     }
     const uint32_t vcap = params_.value_size < 8 ? 8 : params_.value_size;
     resp_.resize(kRespHeaderBytes + vcap);
-    // Parallel replay identity: every cross-partition send is keyed by
-    // (actor, seq); a zero actor id would collide with other client fibers.
-    ctx->actor_id = id + 1;
   }
 
   // One operation end to end; returns the GET value length (0 for writes and

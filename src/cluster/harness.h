@@ -3,26 +3,19 @@
 // ExperimentResult the single-node harness uses — per-node counters, the
 // final ring epoch, completed migrations, plus optional throughput / P99
 // time series (what bench/fig19_cluster plots around a flash crowd).
-//
-// Runs on the serial engine or the partitioned-parallel backend
-// (MUTPS_SIM_THREADS): partition 0 owns every node and the manager (their
-// NICs and fibers all live on one engine), client actors spread over the
-// rest. Results are value-identical across backends, like the single-node
-// harness.
+// Nodes, manager and clients all run on one serial engine, so a run is
+// deterministic per (seed, node count).
 #ifndef UTPS_CLUSTER_HARNESS_H_
 #define UTPS_CLUSTER_HARNESS_H_
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "cluster/client.h"
 #include "cluster/cluster.h"
-#include "common/env.h"
 #include "common/rng.h"
 #include "common/zipf.h"
 #include "harness/experiment.h"
-#include "sim/parallel.h"
 #include "stats/histogram.h"
 
 namespace utps::cluster {
@@ -40,8 +33,6 @@ struct ClusterBenchConfig {
   // Flash crowd: at this virtual time the zipf hot set jumps half the
   // keyspace away, concentrating load on different shards (0 = stable).
   sim::Tick hotshift_at_ns = 0;
-  // 0 = read MUTPS_SIM_THREADS; 1 = serial; N > 1 = parallel backend.
-  unsigned sim_threads = 0;
 };
 
 namespace internal {
@@ -104,36 +95,14 @@ inline sim::Fiber BenchClient(sim::ExecCtx* ctx, Cluster* cluster,
 }  // namespace internal
 
 inline ExperimentResult RunClusterExperiment(const ClusterBenchConfig& cfg) {
-  unsigned threads = cfg.sim_threads != 0
-                         ? cfg.sim_threads
-                         : static_cast<unsigned>(
-                               EnvInt("MUTPS_SIM_THREADS", 1));
-  if (threads < 1) {
-    threads = 1;
-  }
-  const unsigned partitions =
-      std::min(threads, cfg.clients + 1);  // partition 0 = whole cluster
   const sim::Tick end_ns = cfg.warmup_ns + cfg.measure_ns;
   const size_t nbuckets =
       cfg.record_timeline
           ? static_cast<size_t>(end_ns / cfg.timeline_bucket_ns) + 1
           : 0;
 
-  std::unique_ptr<sim::ParallelSim> psim;
-  std::unique_ptr<sim::Engine> serial;
-  sim::Engine* eng0 = nullptr;
-  if (partitions > 1) {
-    sim::ParallelSim::Config pc;
-    pc.partitions = partitions;
-    pc.quantum = sim::ConservativeQuantum(cfg.cluster.client_nic);
-    psim = std::make_unique<sim::ParallelSim>(pc);
-    eng0 = &psim->engine(0);
-  } else {
-    serial = std::make_unique<sim::Engine>();
-    eng0 = serial.get();
-  }
-
-  Cluster cluster(eng0, cfg.cluster);
+  sim::Engine eng;
+  Cluster cluster(&eng, cfg.cluster);
   cluster.Populate([](Key key, uint8_t* dst, uint32_t len) {
     std::memset(dst, 0, len);
     std::memcpy(dst, &key, len < 8 ? len : 8);
@@ -150,28 +119,16 @@ inline ExperimentResult RunClusterExperiment(const ClusterBenchConfig& cfg) {
         accs[i].bucket_lat.resize(nbuckets);
       }
     }
-    sim::Engine* ce =
-        partitions > 1
-            ? &psim->engine(
-                  sim::ParallelSim::ClientPartition(partitions, i))
-            : eng0;
-    ctxs[i] = sim::ExecCtx{.eng = ce, .mem = nullptr, .core = 0};
-    ce->Spawn(internal::BenchClient(&ctxs[i], &cluster, &cfg, i, &accs[i],
+    ctxs[i] = sim::ExecCtx{.eng = &eng, .mem = nullptr, .core = 0};
+    eng.Spawn(internal::BenchClient(&ctxs[i], &cluster, &cfg, i, &accs[i],
                                     &stop));
   }
 
-  auto run_until = [&](sim::Tick until) {
-    if (partitions > 1) {
-      psim->Run(until);
-    } else {
-      serial->Run(until);
-    }
-  };
-  run_until(end_ns);
-  stop = true;  // barrier-synced: clients observe it at their next op
-  run_until(end_ns + 100 * sim::kUsec);
+  eng.Run(end_ns);
+  stop = true;  // clients observe it at their next op
+  eng.Run(end_ns + 100 * sim::kUsec);
   cluster.Stop();
-  run_until(end_ns + 500 * sim::kUsec);
+  eng.Run(end_ns + 500 * sim::kUsec);
 
   ExperimentResult res;
   Histogram lat;
@@ -224,12 +181,7 @@ inline ExperimentResult RunClusterExperiment(const ClusterBenchConfig& cfg) {
   }
   res.ring_epoch = cluster.manager()->epoch();
   res.shard_migrations = cluster.manager()->shard_migrations();
-  res.host_threads = partitions;
-  if (partitions > 1) {
-    res.sched_events = psim->AggregateEngineStats().events_processed;
-  } else {
-    res.sched_events = serial->stats().events_processed;
-  }
+  res.sched_events = eng.stats().events_processed;
   return res;
 }
 

@@ -84,20 +84,17 @@ struct ExperimentConfig {
   // enabled, servers log every PUT/DELETE and gate the ack per wal.mode —
   // the fig17 sweep compares sync vs group vs async commit.
   wal::WalConfig wal;
-  // Simulation backend (DESIGN.md §11). 0 = read MUTPS_SIM_THREADS from the
-  // environment; <= 1 = the serial byte-deterministic engine; N > 1 = the
-  // partitioned-parallel backend on N host threads (partition 0 owns the
-  // server, clients spread over the rest). Results are value-identical to
-  // serial for any N; runs that need serial-only machinery (faults, obs,
-  // passive one-sided systems) silently fall back to the serial engine.
+  // Host threads for the simulation. Only the serial engine exists, so the
+  // one supported value is 1 (0 means the same); anything larger fails a
+  // CHECK, because the host-parallel backend was removed (DESIGN.md §11).
   unsigned sim_threads = 0;
   // Sampled simulation (DESIGN.md §12). Disabled by default; a run with
   // sample.enabled == false is byte-identical to a build without sampling.
   // When enabled, the measurement interval alternates functional
   // fast-forward segments with seeded detailed windows, and throughput/tail
   // latency are extrapolated from the windows (est fields + CI95 in the
-  // result). Composes with the parallel backend; incompatible with phase2
-  // (the phase switch would race the window plan).
+  // result). Incompatible with phase2 (the phase switch would race the
+  // window plan).
   sim::SampleConfig sample;
 };
 
@@ -169,10 +166,6 @@ struct ExperimentResult {
   double est_mops_ci95 = 0.0;
   uint64_t detail_windows = 0;   // windows that contributed measurements
   sim::Tick detail_ns = 0;       // total measured (in-window) virtual time
-  // Host threads the simulation actually ran on (1 = serial engine; the
-  // parallel backend reports its partition count, even when a sweep asked
-  // for more threads than the run could use).
-  unsigned host_threads = 1;
   // Host heap allocations performed during the measure phase (warmup and
   // populate excluded). Filled only when g_alloc_probe is installed; the
   // zero-allocation steady-state invariant (DESIGN.md §13) is enforced by

@@ -3,11 +3,7 @@
 //
 // Everything runs on ONE host thread; simulated concurrency is expressed by
 // coroutines interleaved in virtual-time order, which makes every experiment
-// deterministic and lets a 1-core host model a 28-core server. The parallel
-// backend (sim/parallel.h) composes several of these engines — one per host
-// thread — under conservative quantum barriers; each engine is still
-// single-threaded within a window, and cross-partition interactions go
-// through the CrossRouter below.
+// deterministic and lets a 1-core host model a 28-core server.
 //
 // Scheduler structure (host-performance critical — see DESIGN.md "Engine
 // internals & host performance"): modeled latencies are overwhelmingly within
@@ -35,36 +31,6 @@
 #include "sim/types.h"
 
 namespace utps::sim {
-
-class Nic;
-struct NicMessage;
-class OneShot;
-
-// Cross-partition event router (parallel backend, sim/parallel.h). When a
-// partition-local engine produces an interaction whose target lives on
-// another partition — a NIC send toward a remote ring, a response completion
-// for a remote client, a bare wakeup — it posts the interaction here instead
-// of mutating remote state. The router buffers posts in bounded per-partition
-// mailboxes and applies them at the next epoch barrier, in a deterministic
-// order that matches the serial engine's dispatch order. Null (the default)
-// on the serial engine: no call site is ever taken.
-class CrossRouter {
- public:
-  virtual ~CrossRouter() = default;
-  // Client-side NIC send whose NIC lives on another partition. `msg` carries
-  // (issue_tick, actor, actor_seq) — the replay sort key.
-  virtual void PostNicSend(uint32_t src_part, Nic* nic, unsigned ring,
-                           const NicMessage& msg) = 0;
-  // Server-side response completion for a OneShot owned by a fiber on
-  // partition `dst_part`. `order` is the sender's emission sequence (the NIC
-  // tx counter) — partition-count-invariant, so the apply order is too.
-  virtual void PostComplete(uint32_t src_part, uint32_t dst_part, OneShot* os,
-                            Tick at, uint64_t order) = 0;
-  // Bare cross-partition wakeup (tests / future subsystems): schedule `h` on
-  // partition `dst_part` at tick `t`; `key` orders same-tick wakeups.
-  virtual void PostWake(uint32_t src_part, uint32_t dst_part, Tick t,
-                        uint64_t key, std::coroutine_handle<> h) = 0;
-};
 
 // Top-level simulated thread. Created by calling a coroutine function that
 // returns Fiber and registering it with Engine::Spawn. The engine owns the
@@ -175,17 +141,15 @@ class Engine {
   //
   // Scheduling into the past targets a *sealed* epoch: every bucket at
   // t < now_ has already been dispatched (and its tick recycled by the ring's
-  // modular indexing), so honoring the request would silently reorder history
-  // — in the parallel backend it would mean a partition-local scheduler
-  // time-traveling across an epoch barrier. Debug builds fail loudly; release
-  // builds clamp to now_ as a last-resort safety (the ring cannot represent
-  // the past).
+  // modular indexing), so honoring the request would silently reorder
+  // history. Debug builds fail loudly; release builds clamp to now_ as a
+  // last-resort safety (the ring cannot represent the past).
   void ScheduleAt(Tick t, std::coroutine_handle<> h) {
     UTPS_DCHECK_MSG(t >= now_,
                     "ScheduleAt(t=%llu) into a sealed bucket epoch: now=%llu "
-                    "(partition %u) — that tick was already dispatched",
+                    "— that tick was already dispatched",
                     static_cast<unsigned long long>(t),
-                    static_cast<unsigned long long>(now_), part_);
+                    static_cast<unsigned long long>(now_));
     if (UTPS_UNLIKELY(t < now_)) {
       // Release-build safety: the ring cannot represent the past. Counted so
       // scheduling bugs that only DCHECK in debug stay visible in release
@@ -306,38 +270,8 @@ class Engine {
   bool idle() const { return pending_ == 0; }
   const Stats& stats() const { return stats_; }
 
-  // ------------------------------------------------- parallel backend hooks
-  // "No pending event" sentinel for NextEventTick().
-  static constexpr Tick kNever = ~Tick{0};
-
-  // Virtual time of the earliest pending event, or kNever when idle. The
-  // parallel driver reads this at epoch barriers (all partitions parked) to
-  // skip empty quanta: the next window starts at the minimum across
-  // partitions instead of marching quantum by quantum.
-  Tick NextEventTick() {
-    if (ring_count_ != 0) {
-      const Tick rt = FirstRingTick();
-      if (!far_keys_.empty() && far_keys_[0].t < rt) {
-        return far_keys_[0].t;
-      }
-      return rt;
-    }
-    return far_keys_.empty() ? kNever : far_keys_[0].t;
-  }
-
-  // Attach this engine to a partitioned run: `router` receives every
-  // cross-partition interaction, `part` is this engine's partition index.
-  // The serial engine never calls this — cross() stays null and partition()
-  // stays 0, which is what the NIC's local/remote branches test.
-  void BindPartition(CrossRouter* router, uint32_t part) {
-    cross_ = router;
-    part_ = part;
-  }
-  CrossRouter* cross() const { return cross_; }
-  uint32_t partition() const { return part_; }
-
  private:
-  static constexpr Tick kMaxTick = kNever;
+  static constexpr Tick kMaxTick = ~Tick{0};
   // Near-future ring: one bucket per nanosecond, covering [now, now + span).
   static constexpr unsigned kRingLog2 = 13;
   static constexpr Tick kRingSpan = Tick{1} << kRingLog2;  // 8192 ns
@@ -570,8 +504,6 @@ class Engine {
 
   Tick now_ = 0;
   uint64_t seq_ = 0;
-  CrossRouter* cross_ = nullptr;  // non-null only under the parallel backend
-  uint32_t part_ = 0;             // partition index within a ParallelSim
   bool perturb_on_ = false;
   PerturbConfig perturb_;
   Stats stats_;

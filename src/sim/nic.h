@@ -57,14 +57,6 @@ struct NicMessage {
   // without fault support.
   uint64_t rid = 0;
   RpcGate* gate = nullptr;
-  // Parallel backend (sim/parallel.h): sender identity for cross-partition
-  // routing. src_part names the partition whose engine owns `completion`;
-  // (issue_tick, actor, actor_seq) is the deterministic replay key under
-  // which barrier-applied sends reproduce the serial engine's send order.
-  // All zero on the serial backend.
-  uint32_t src_part = 0;
-  uint32_t actor = 0;
-  uint32_t actor_seq = 0;
 };
 
 // Per-message fault decision, produced by a NicFaultHook at send time.
@@ -117,12 +109,12 @@ class LinkSerializer {
   // Functional fast-forward (DESIGN.md §12): departure without token-bucket
   // accounting. Clamping to next_free_ keeps departures monotonic across a
   // detailed-to-functional mode switch, and the 1 ns bump keeps per-link
-  // departures STRICTLY increasing — the property the parallel backend's
-  // deterministic replay relies on (same-tick deliveries to different
-  // partitions would tie, and serial insertion order and the (t, actor, seq)
-  // replay key break ties differently). Messages flow far slower than
-  // 1/ns, so unlike the token buckets this accrues no link debt for the
-  // next detailed window.
+  // departures STRICTLY increasing, as they are in detailed mode: a burst of
+  // same-tick sends still lands staggered, one per tick, in send order. The
+  // committed sampled results and the sample_equiv_test bounds were measured
+  // with this arrival pattern, so the bump is part of the functional model.
+  // Messages flow far slower than 1/ns, so unlike the token buckets this
+  // accrues no link debt for the next detailed window.
   Tick Pass(Tick now) {
     const Tick dep = now > next_free_ ? now : next_free_;
     next_free_ = dep + 1;
@@ -221,43 +213,21 @@ class Nic {
   NicFaultHook* fault_hook() const { return hook_; }
 
   // ------------------------------------------------------------- two-sided
-  // Client posts a request toward server receive ring `ring`.
+  // Client posts a request toward server receive ring `ring`. Departure and
+  // arrival are keyed off msg.issue_tick, the client's local time at post.
   void ClientSend(ExecCtx& cli, unsigned ring, NicMessage msg) {
     UTPS_DCHECK(ring < rings_.size());
     cli.Charge(cfg_.client_send_cpu_ns);
     msg.wire_bytes = cfg_.verb_header_bytes + 32 + msg.payload_len;
     msg.issue_tick = cli.Now();
-    if (UTPS_UNLIKELY(cli.eng != eng_)) {
-      // Parallel backend: the sender lives on another partition. Post the
-      // send to the cross-partition router WITHOUT touching any NIC state
-      // (links, rings, counters are owned by the NIC's partition); the
-      // barrier replays it through ApplyRemoteSend in serial send order.
-      msg.src_part = cli.eng->partition();
-      msg.actor = cli.actor_id;
-      msg.actor_seq = cli.send_seq++;
-      cli.eng->cross()->PostNicSend(msg.src_part, this, ring, msg);
-      return;
-    }
-    ApplyRemoteSend(ring, msg);
-  }
-
-  // Ingress half of a send, keyed off msg.issue_tick (== the sender's local
-  // time when it posted). For a local send this is exactly the pre-parallel
-  // inline path; for a cross-partition send it is the barrier-side replay:
-  // conservative quanta guarantee issue_tick is never behind this
-  // partition's link state, so departure/arrival arithmetic is the same as
-  // if the sender had run inline. Fault decisions live here too — barriers
-  // replay sends in serial send order, so the injector's per-message RNG
-  // draw sequence is identical on the serial and parallel backends (which is
-  // what lets cluster DST runs keep fault plans on the partitioned engine).
-  void ApplyRemoteSend(unsigned ring, NicMessage msg) {
     if (UTPS_UNLIKELY(hook_ != nullptr)) {
-      ApplySendFaulty(ring, msg);
+      ClientSendFaulty(ring, msg);
       return;
     }
-    // Fast-forward bypasses the token buckets but keeps the RTT/2 delivery
-    // delay: the parallel backend's conservative quantum is exactly RTT/2, so
-    // the minimum cross-partition latency must survive mode switches.
+    // Fast-forward bypasses the token buckets but keeps the RTT/2 wire
+    // delay: functional mode skips queueing, not propagation, so client
+    // round trips in a fast-forward window keep their wire time and the
+    // closed loop's pacing stays close to the detailed windows around it.
     const Tick dep = UTPS_UNLIKELY(FastForward())
                          ? rx_link_.Pass(msg.issue_tick)
                          : rx_link_.Depart(msg.issue_tick, msg.wire_bytes);
@@ -272,11 +242,9 @@ class Nic {
 
   // Fault-path send: the wire is used either way (serialization happens), but
   // delivery can be dropped, delayed, or duplicated. Arrivals are kept sorted
-  // so PopArrived's front-of-queue contract survives reordering. Keyed off
-  // msg.issue_tick exactly like the fault-free path (issue_tick is the
-  // sender's local time at post, so a local inline send sees the same
-  // arithmetic as before the barrier-replay refactor, byte for byte).
-  void ApplySendFaulty(unsigned ring, NicMessage msg) {
+  // so PopArrived's front-of-queue contract survives reordering. Fault
+  // decisions are drawn in send order, so a seed replays the same schedule.
+  void ClientSendFaulty(unsigned ring, NicMessage msg) {
     const NicFault f = hook_->OnRequest(msg.issue_tick);
     const Tick dep = rx_link_.Depart(msg.issue_tick, msg.wire_bytes,
                                      hook_->LinkCostScale(msg.issue_tick));
@@ -299,17 +267,17 @@ class Nic {
     if (q.empty() || q.front().arrival_tick > now) {
       return false;
     }
-    // Serial visibility is push-order: a message becomes poppable no earlier
-    // than the event that sent it. The parallel backend pushes a whole
-    // window's sends before the server runs it (sim/parallel.h), so a poller
-    // that accumulated more than a quantum of Charge() pending inside one
-    // event could otherwise pop a message its serial twin cannot see yet.
+    // Causality guard: a message must not be popped by an event dispatched
+    // before it was sent. Pollers read the ring at now + pending Charge(), so
+    // a single event whose pending cost outgrew the RTT/2 wire delay could
+    // see a message whose send tick lies after its own dispatch tick — a
+    // result set by how one event batches its work, not by simulated time.
     // Only meaningful under event dispatch — unit tests that hand-feed the
     // NIC without running the engine poll at an arbitrary `now`.
     UTPS_DCHECK_MSG(eng_->stats().events_processed == 0 ||
                         q.front().issue_tick <= eng_->now(),
                     "PopArrived at event tick %llu would pop a message sent "
-                    "at %llu: single-event pending exceeded the quantum",
+                    "at %llu: single-event pending exceeded RTT/2",
                     static_cast<unsigned long long>(eng_->now()),
                     static_cast<unsigned long long>(q.front().issue_tick));
     *out = q.front();
@@ -350,13 +318,7 @@ class Nic {
     if (UTPS_UNLIKELY(req.gate != nullptr)) {
       // Retry-capable client without a fault hook (cluster-internal RPCs,
       // crash-only plans): same guard + delivery as the faulty gate path,
-      // minus the fault decision. Completing the gate directly is safe on
-      // the parallel backend even though the gate lives on the client's
-      // partition: responses land at dep + rtt/2 >= the end of the current
-      // window, client fibers are parked while the NIC's partition runs, and
-      // RpcGate::ReadyAt never answers true before ready_at — so every poll
-      // sees the same verdict the serial engine would, and the barrier
-      // mutexes order the write itself (no data race, TSan-clean).
+      // minus the fault decision.
       if (!req.gate->AcceptsResponse(req.rid)) {
         return;
       }
@@ -379,18 +341,7 @@ class Nic {
     }
     if (req.completion != nullptr) {
       const_cast<NicMessage&>(req).copy_out_len = resp_payload_len;
-      const Tick at = dep + cfg_.rtt_ns / 2;
-      if (UTPS_UNLIKELY(req.src_part != eng_->partition())) {
-        // Parallel backend: the waiting client fiber lives on another
-        // partition — its OneShot must be completed against that engine.
-        // tx_messages_ (already bumped) is the emission sequence: response
-        // departures are strictly serialized by tx_link_, so this order is
-        // both deterministic and partition-count-invariant.
-        eng_->cross()->PostComplete(eng_->partition(), req.src_part,
-                                    req.completion, at, tx_messages_);
-        return;
-      }
-      req.completion->Complete(*eng_, at);
+      req.completion->Complete(*eng_, dep + cfg_.rtt_ns / 2);
     }
   }
 

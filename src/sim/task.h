@@ -23,11 +23,8 @@
 namespace utps::sim {
 
 // ---------------------------------------------------------------------------
-// Coroutine frame pool. Free lists are thread_local: each host thread (the
-// lone thread of a serial run, or one partition worker of a parallel run)
-// recycles only frames it freed itself, so no locking is needed. Worker
-// threads call Purge() before exiting so pooled frames don't leak with the
-// thread's TLS.
+// Coroutine frame pool: a free list of recycled frames per size class. The
+// whole simulation runs on one host thread, so the lists need no locking.
 // ---------------------------------------------------------------------------
 class FramePool {
  public:
@@ -54,20 +51,6 @@ class FramePool {
     Node* node = static_cast<Node*>(p);
     node->next = free_lists_[cls];
     free_lists_[cls] = node;
-  }
-
-  // Return this thread's pooled frames to the host allocator. Called by
-  // parallel-backend worker threads at exit (and harmless anywhere else).
-  static void Purge() {
-    for (size_t cls = 0; cls < kNumClasses; cls++) {
-      Node* n = free_lists_[cls];
-      while (n != nullptr) {
-        Node* next = n->next;
-        ::operator delete(n);
-        n = next;
-      }
-      free_lists_[cls] = nullptr;
-    }
   }
 
  private:

@@ -4,9 +4,9 @@
 // stats call in the simulator. Instead of touching the (KB-sized, cold)
 // histogram bucket array per op, samples stage into a small per-recorder
 // value buffer that flushes in bulk when full and at window boundaries
-// (measure-phase end, before the per-partition merge). Staging only reorders
-// commutative bucket/sum updates, so the merged histogram is value-identical
-// to unstaged recording.
+// (measure-phase end, before the histogram is read). Staging only reorders
+// commutative bucket/sum updates, so the histogram is value-identical to
+// unstaged recording.
 #ifndef UTPS_STATS_STAGED_H_
 #define UTPS_STATS_STAGED_H_
 
@@ -21,7 +21,7 @@ class HistogramStage {
  public:
   // Stages one value; spills the whole buffer into `sink` when full. The
   // sink is passed per call (not cached) so the stage stays trivially
-  // relocatable inside the harness's per-partition counter blocks.
+  // relocatable next to its histogram in the harness's counter block.
   void Record(uint64_t value, Histogram* sink) {
     buf_[n_++] = value;
     if (UTPS_UNLIKELY(n_ == kCap)) {

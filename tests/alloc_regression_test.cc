@@ -115,7 +115,6 @@ TEST(AllocRegression, MuTpsMeasurePhaseIsAllocationFree) {
   cfg.measure_ns = 2 * sim::kMsec;
   cfg.max_warmup_ns = 20 * sim::kMsec;
   cfg.mutps.autotune = true;  // tuning completes during warmup (tuned() gate)
-  cfg.sim_threads = 1;        // serial engine; ignore MUTPS_SIM_THREADS
 
   g_alloc_probe = &AllocProbe;
   const ExperimentResult res = bed.Run(cfg);
@@ -143,7 +142,6 @@ TEST(AllocRegression, MuTpsHashMeasurePhaseIsAllocationFree) {
   cfg.mutps.autotune = false;
   cfg.mutps.initial_ncr = 0;
   cfg.mutps.batch_size = 8;
-  cfg.sim_threads = 1;
 
   g_alloc_probe = &AllocProbe;
   const ExperimentResult res = bed.Run(cfg);

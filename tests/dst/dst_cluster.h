@@ -4,9 +4,8 @@
 // RunDstCluster drives a multi-node cluster::Cluster with history-recording
 // routing clients (cluster::ClusterClient), then checks the merged history
 // with the same linearizability checker the single-node DST uses. Each
-// client records into its own check::History (clients may run on different
-// host threads under MUTPS_SIM_THREADS), merged deterministically in client
-// order after the run, so the digest is a pure function of (config, backend).
+// client records into its own check::History, merged in client order after
+// the run, so the digest is a pure function of the config.
 //
 // The run ends with two cluster-specific audits:
 //  - Cluster::AuditReplicas: every live assigned primary/backup pair holds
@@ -20,7 +19,6 @@
 #define UTPS_TESTS_DST_DST_CLUSTER_H_
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,10 +28,8 @@
 #include "check/mutation.h"
 #include "cluster/client.h"
 #include "cluster/cluster.h"
-#include "common/env.h"
 #include "common/rng.h"
 #include "common/zipf.h"
-#include "sim/parallel.h"
 #include "dst_harness.h"
 
 namespace utps::dst {
@@ -50,10 +46,8 @@ struct DstClusterConfig {
   uint32_t ops_per_client = 40;
   double put_frac = 0.45;
   double del_frac = 0.05;
-  bool perturb = true;  // serial backend only; parallel runs un-perturbed
+  bool perturb = true;
   sim::Tick jitter_ns = 32;
-  // 0 = read MUTPS_SIM_THREADS (1 = serial engine).
-  unsigned sim_threads = 0;
   // Node-scoped fault plan (crash_node / partition_node / message probs) —
   // the plan seed mixes cfg.seed via the cluster's hook seeding, so a seed
   // sweep is also a fault-schedule sweep.
@@ -157,14 +151,6 @@ inline DstClusterResult RunDstCluster(const DstClusterConfig& cfg) {
   mut::Reset(mut::g_mode);
 
   DstClusterResult out;
-  unsigned threads = cfg.sim_threads != 0
-                         ? cfg.sim_threads
-                         : static_cast<unsigned>(
-                               EnvInt("MUTPS_SIM_THREADS", 1));
-  if (threads < 1) {
-    threads = 1;
-  }
-  const unsigned partitions = std::min(threads, cfg.clients + 1);
 
   cluster::ClusterParams p;
   p.nodes = cfg.nodes;
@@ -178,26 +164,14 @@ inline DstClusterResult RunDstCluster(const DstClusterConfig& cfg) {
   p.rebalance_period_ns = cfg.rebalance_period_ns;
   p.arena_mb = 64;
 
-  std::unique_ptr<sim::ParallelSim> psim;
-  std::unique_ptr<sim::Engine> serial;
-  sim::Engine* eng0 = nullptr;
-  if (partitions > 1) {
-    sim::ParallelSim::Config pc;
-    pc.partitions = partitions;
-    pc.quantum = sim::ConservativeQuantum(p.client_nic);
-    psim = std::make_unique<sim::ParallelSim>(pc);
-    eng0 = &psim->engine(0);
-  } else {
-    serial = std::make_unique<sim::Engine>();
-    eng0 = serial.get();
-    if (cfg.perturb) {
-      eng0->EnablePerturbation({.seed = cfg.seed,
-                                .permute_ties = true,
-                                .max_jitter_ns = cfg.jitter_ns});
-    }
+  sim::Engine eng;
+  if (cfg.perturb) {
+    eng.EnablePerturbation({.seed = cfg.seed,
+                            .permute_ties = true,
+                            .max_jitter_ns = cfg.jitter_ns});
   }
 
-  cluster::Cluster cluster(eng0, p);
+  cluster::Cluster cluster(&eng, p);
   cluster.Populate([](Key key, uint8_t* dst, uint32_t len) {
     check::StampFill(dst, len, check::MakeStamp(key, 0));
   });
@@ -210,24 +184,12 @@ inline DstClusterResult RunDstCluster(const DstClusterConfig& cfg) {
   std::vector<internal::ClusterClientState> states(cfg.clients);
   std::vector<sim::ExecCtx> ctxs(cfg.clients);
   for (unsigned i = 0; i < cfg.clients; i++) {
-    sim::Engine* ce =
-        partitions > 1
-            ? &psim->engine(
-                  sim::ParallelSim::ClientPartition(partitions, i))
-            : eng0;
-    ctxs[i] = sim::ExecCtx{.eng = ce, .mem = nullptr, .core = 0};
-    ce->Spawn(internal::ClusterDstClient(&ctxs[i], &cluster, &cfg,
+    ctxs[i] = sim::ExecCtx{.eng = &eng, .mem = nullptr, .core = 0};
+    eng.Spawn(internal::ClusterDstClient(&ctxs[i], &cluster, &cfg,
                                          static_cast<uint16_t>(i),
                                          &states[i]));
   }
 
-  auto run_until = [&](sim::Tick until) {
-    if (partitions > 1) {
-      psim->Run(until);
-    } else {
-      serial->Run(until);
-    }
-  };
   // Virtual-time backstop so a lost completion surfaces as "stuck" rather
   // than hanging the test. Failover stalls (probe misses + lease expiry) and
   // migration freezes stretch completion well past the fault-free bound.
@@ -251,10 +213,10 @@ inline DstClusterResult RunDstCluster(const DstClusterConfig& cfg) {
     }
     return true;
   };
-  while (!all_done() && eng0->now() < deadline) {
-    run_until(eng0->now() + 20 * sim::kUsec);
+  while (!all_done() && eng.now() < deadline) {
+    eng.Run(eng.now() + 20 * sim::kUsec);
   }
-  const sim::Tick live_now = eng0->now();
+  const sim::Tick live_now = eng.now();
 
   // Replica audit while probes still renew leases (post-Stop every lease
   // looks expired, which would vacuously pass the primary-uniqueness check).
@@ -263,7 +225,7 @@ inline DstClusterResult RunDstCluster(const DstClusterConfig& cfg) {
     // keep err; folded into the result below
   }
   cluster.Stop();
-  run_until(eng0->now() + 400 * sim::kUsec);
+  eng.Run(eng.now() + 400 * sim::kUsec);
 
   // Merge per-client histories deterministically (client order; each
   // client's ops are already in its own program order).
@@ -282,7 +244,7 @@ inline DstClusterResult RunDstCluster(const DstClusterConfig& cfg) {
   // the manager's final assignment. Catches stale-owner writes (the
   // kDropRingEpochCheck mutation) as linearizability failures.
   const uint16_t auditor = static_cast<uint16_t>(cfg.clients);
-  sim::Tick t = eng0->now() + 1;
+  sim::Tick t = eng.now() + 1;
   for (Key k = 0; k < cfg.num_keys; k++) {
     const uint64_t sh = cluster::ShardOfKey(k, p.shards, p.num_keys);
     const int prim = cluster.manager()->assign(sh).primary;

@@ -351,8 +351,7 @@ TEST(DstFaultDeterminism, SubprocessIdentical) {
 // Scale-out tier (DESIGN.md §14): linearizability must survive node-scoped
 // faults — a primary crash with backup promotion, a live shard migration
 // racing lossy/duplicating delivery, and a partition window that heals.
-// run_checks.sh runs this suite on both backends (serial and
-// MUTPS_SIM_THREADS=4) and widens the seed set via MUTPS_DST_FAULT_SEEDS.
+// run_checks.sh widens the seed set via MUTPS_DST_FAULT_SEEDS.
 
 DstClusterConfig ClusterBase(uint64_t seed) {
   DstClusterConfig cfg;
@@ -438,7 +437,7 @@ TEST(DstCluster, RebalancerStaysLinearizable) {
 }
 
 // Determinism: the whole faulted cluster run — failover timing, promotion,
-// migration, history digest — repeats exactly for a fixed (config, backend).
+// migration, history digest — repeats exactly for a fixed config.
 TEST(DstCluster, RepeatRunsIdentical) {
   DstClusterConfig cfg = ClusterBase(42);
   cfg.fault.crash_node = 0;

@@ -67,6 +67,20 @@ INSTANTIATE_TEST_SUITE_P(
              IndexName(std::get<1>(info.param));
     });
 
+// The host-parallel simulation backend was removed; a config that still
+// asks for it must fail loudly instead of silently running serially.
+TEST(TestBedDeath, SimThreadsAboveOneRejected) {
+  EXPECT_DEATH(
+      {
+        const WorkloadSpec spec = WorkloadSpec::YcsbC(1000, 64, false);
+        TestBed bed(IndexType::kHash, spec, /*server_workers=*/2);
+        ExperimentConfig cfg = SmallConfig(SystemKind::kBaseKv, spec);
+        cfg.sim_threads = 2;
+        bed.Run(cfg);
+      },
+      "backend was removed");
+}
+
 // ------------------------------------------------------- data correctness
 
 // A hand-rolled client that round-trips values with copy-out verification.

@@ -360,5 +360,59 @@ TEST(Sync, OneShotCompletedBeforeWaitIsImmediate) {
   EXPECT_EQ(observed, 5u);
 }
 
+// ---------------------------------------------------------------------------
+// Sealed-epoch guard: scheduling into an already-dispatched tick.
+// ---------------------------------------------------------------------------
+
+Fiber SparseFiber(ExecCtx* ctx, int wakes, Tick gap, std::vector<Tick>* log) {
+  for (int i = 0; i < wakes; i++) {
+    co_await ctx->Delay(gap);
+    log->push_back(ctx->eng->now());
+  }
+}
+
+Fiber NopFiber() { co_return; }
+
+#ifndef NDEBUG
+TEST(EngineDeath, ScheduleIntoSealedEpochAborts) {
+  EXPECT_DEATH(
+      {
+        Engine eng;
+        eng.Run(100);  // epochs [0, 100] are dispatched and sealed
+        Fiber f = NopFiber();
+        eng.ScheduleAt(50, f.release());
+      },
+      "sealed");
+}
+#else
+// Release builds clamp the past deadline to now and count it, so the bug
+// stays visible in result rows (sched_clamps) instead of aborting.
+TEST(Engine, ScheduleIntoSealedEpochClampsAndCounts) {
+  Engine eng;
+  eng.Run(100);
+  Fiber f = NopFiber();
+  const Fiber::Handle h = f.release();
+  eng.ScheduleAt(50, h);
+  EXPECT_EQ(eng.stats().sealed_clamps, 1u);
+  eng.Run(kSec);
+  EXPECT_TRUE(h.promise().done);  // resumed at now instead of the past
+  h.destroy();
+}
+#endif
+
+// Spawn's clamp path stays legal: a start_at in the past rounds up to now
+// instead of tripping the sealed-epoch guard.
+TEST(Engine, SpawnInThePastClampsToNow) {
+  Engine eng;
+  eng.Run(100);
+  std::vector<Tick> log;
+  ExecCtx ctx{.eng = &eng};
+  eng.Spawn(SparseFiber(&ctx, 1, 10, &log), /*start_at=*/5);
+  eng.Run(kSec);
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0], 110u);
+  EXPECT_EQ(eng.stats().sealed_clamps, 0u);
+}
+
 }  // namespace
 }  // namespace utps::sim
