@@ -45,6 +45,17 @@ fi
 rm -f /tmp/golden_rows.$$ /tmp/golden_committed.$$
 echo "=== golden rows match ==="
 
+# The cluster bench is deterministic and writes no host-dependent fields, so
+# its JSON must equal the committed results/BENCH_cluster.json byte for byte.
+echo "=== fig19_cluster vs results/BENCH_cluster.json ==="
+cluster_out="$(mktemp)"
+MUTPS_CLUSTER_OUT="$cluster_out" ./build/bench/fig19_cluster >/dev/null
+cluster_rc=0
+diff -u results/BENCH_cluster.json "$cluster_out" || cluster_rc=1
+rm -f "$cluster_out"
+[ "$cluster_rc" = 0 ] || { echo "fig19_cluster output drifted" >&2; exit 1; }
+echo "=== fig19_cluster matches ==="
+
 # Sampled-simulation validation (DESIGN.md §12): extrapolated estimates must
 # stay within the 5% error bound of full-detail runs, and sampled rows must
 # be byte-deterministic per (seed, window plan) — in-process and in a fresh

@@ -57,7 +57,7 @@ class ClusterClient {
   sim::Task<uint32_t> Call(OpType op, Key key, const void* payload,
                            uint32_t len, uint8_t* value_out) {
     const uint64_t shard = ShardOfKey(key, params_.shards, params_.num_keys);
-    const uint64_t rid = (uint64_t{id_ + 1} << 32) | ++seq_;
+    const uint64_t rid = MakeRid(uint64_t{id_} + 1, ++seq_);
     gate_.Arm(rid);
     sim::Tick timeout = params_.client_timeout_ns;
     unsigned consecutive_timeouts = 0;
@@ -96,7 +96,7 @@ class ClusterClient {
           gate_.Arm(rid);
           consecutive_timeouts = 0;
         }
-        timeout = Backoff(timeout);
+        timeout = NextRetryTimeout(Retry(), timeout);
         continue;
       }
       const RespHeader h = ParseRespHeader(resp_.data());
@@ -146,16 +146,11 @@ class ClusterClient {
     sim::NicMessage m;
     m.h[0] = shard;
     m.h[1] = PackCtlLen(Ctl::kResolve, 0);
-    m.rid = (ClientCtlStream(id_) << 32) | ++ctl_seq_;
+    m.rid = MakeRid(ClientCtlStream(id_), ++ctl_seq_);
     m.gate = &ctl_gate_;
     m.copy_out = ctl_resp_;
-    RetryPolicy pol;
-    pol.timeout_ns = params_.client_timeout_ns;
-    pol.max_timeout_ns = params_.retry_max_timeout_ns;
-    pol.poll_ns = params_.client_poll_ns;
-    pol.jitter_frac = params_.client_jitter_frac;
-    pol.rng = &rng_;
-    co_await RpcCallWithRetry(*ctx_, *cluster_->manager()->nic(), 0, m, pol);
+    co_await RpcCallWithRetry(*ctx_, *cluster_->manager()->nic(), 0, m,
+                              Retry());
     const RespHeader h = ParseRespHeader(ctl_resp_);
     if (h.owner != kNoOwner) {
       table_[shard] = Route{static_cast<int>(h.owner), h.epoch};
@@ -168,18 +163,16 @@ class ClusterClient {
     uint64_t epoch = 0;
   };
 
-  sim::Tick Backoff(sim::Tick timeout) {
-    sim::Tick next = timeout * 2 < params_.retry_max_timeout_ns
-                         ? timeout * 2
-                         : params_.retry_max_timeout_ns;
-    if (params_.client_jitter_frac > 0.0) {
-      const auto span = static_cast<sim::Tick>(
-          params_.client_jitter_frac * static_cast<double>(next));
-      if (span > 0) {
-        next += rng_.NextBounded(span);
-      }
-    }
-    return next;
+  // Data calls and resolves share one policy; jitter draws from this
+  // client's own rng.
+  RetryPolicy Retry() {
+    RetryPolicy pol;
+    pol.timeout_ns = params_.client_timeout_ns;
+    pol.max_timeout_ns = params_.retry_max_timeout_ns;
+    pol.poll_ns = params_.client_poll_ns;
+    pol.jitter_frac = params_.client_jitter_frac;
+    pol.rng = &rng_;
+    return pol;
   }
 
   Cluster* cluster_;

@@ -120,6 +120,15 @@ struct ClusterParams {
   wal::WalConfig wal;         // per-node WAL when enabled
   fault::FaultConfig fault;   // node crash / partition / message faults
   size_t arena_mb = 256;
+
+  // Internal calls back off by doubling from `first` up to the cap, without
+  // jitter.
+  RetryPolicy InternalRetry(sim::Tick first) const {
+    RetryPolicy pol;
+    pol.timeout_ns = first;
+    pol.max_timeout_ns = retry_max_timeout_ns;
+    return pol;
+  }
 };
 
 // Per-node outcome counters (mirrored into harness NodeCounters).
@@ -534,9 +543,10 @@ class ClusterNode {
                             uint32_t len, uint64_t client_rid) {
     ShardState& s = shards_[shard];
     sim::RpcGate& gate = repl_gates_[w];
-    const uint64_t rid = (ReplStream(id_, w) << 32) | ++repl_seq_[w];
+    const uint64_t rid = MakeRid(ReplStream(id_, w), ++repl_seq_[w]);
     gate.Arm(rid);
-    sim::Tick timeout = params_.repl_timeout_ns;
+    const RetryPolicy pol = params_.InternalRetry(params_.repl_timeout_ns);
+    sim::Tick timeout = pol.timeout_ns;
     for (;;) {
       if (crashed_ || s.role != Role::kPrimary) {
         co_return false;
@@ -567,9 +577,7 @@ class ClusterNode {
         const RespHeader h = ParseRespHeader(repl_resps_[w]);
         co_return h.status == Status::kOk;
       }
-      timeout = timeout * 2 < params_.retry_max_timeout_ns
-                    ? timeout * 2
-                    : params_.retry_max_timeout_ns;
+      timeout = NextRetryTimeout(pol, timeout);
     }
   }
 
@@ -1061,12 +1069,13 @@ class ClusterNode {
   sim::Task<bool> TransferCall(sim::ExecCtx& ctx, sim::Nic* nic,
                                sim::NicMessage m, uint64_t shard) {
     ShardState& s = shards_[shard];
-    const uint64_t rid = (MigStream(id_) << 32) | ++mig_seq_;
+    const uint64_t rid = MakeRid(MigStream(id_), ++mig_seq_);
     mig_gate_.Arm(rid);
     m.rid = rid;
     m.gate = &mig_gate_;
     m.copy_out = mig_resp_;
-    sim::Tick timeout = params_.repl_timeout_ns;
+    const RetryPolicy pol = params_.InternalRetry(params_.repl_timeout_ns);
+    sim::Tick timeout = pol.timeout_ns;
     for (;;) {
       if (crashed_ || !s.frozen) {
         co_return false;
@@ -1082,9 +1091,7 @@ class ClusterNode {
       if (mig_gate_.ReadyAt(ctx.Now())) {
         co_return ParseRespHeader(mig_resp_).status == Status::kOk;
       }
-      timeout = timeout * 2 < params_.retry_max_timeout_ns
-                    ? timeout * 2
-                    : params_.retry_max_timeout_ns;
+      timeout = NextRetryTimeout(pol, timeout);
     }
   }
 
@@ -1268,7 +1275,7 @@ class ClusterManager {
       if (ctx.stop || views_[n].dead) {
         continue;
       }
-      const uint64_t rid = (MgrStream(n) << 32) | ++mgr_seq_[n];
+      const uint64_t rid = MakeRid(MgrStream(n), ++mgr_seq_[n]);
       gate.Arm(rid);
       sim::NicMessage m;
       m.h[1] = PackCtlLen(Ctl::kProbe, 0);
@@ -1398,7 +1405,7 @@ class ClusterManager {
     // kMigStart is a reliable call: same rid on retransmit, the source's
     // dedup window re-acks an accepted start idempotently.
     sim::RpcGate gate;
-    const uint64_t rid = (MgrStream(src) << 32) | ++mgr_seq_[src];
+    const uint64_t rid = MakeRid(MgrStream(src), ++mgr_seq_[src]);
     gate.Arm(rid);
     uint8_t resp[kRespHeaderBytes] = {};
     sim::NicMessage m;
@@ -1409,7 +1416,8 @@ class ClusterManager {
     m.gate = &gate;
     m.copy_out = resp;
     const sim::Tick start_deadline = ctx.Now() + params_.mig_deadline_ns;
-    sim::Tick timeout = params_.probe_timeout_ns;
+    const RetryPolicy pol = params_.InternalRetry(params_.probe_timeout_ns);
+    sim::Tick timeout = pol.timeout_ns;
     bool started = false;
     while (!started) {
       nodes_[src]->ctl_nic().ClientSend(ctx, 0, m);
@@ -1427,9 +1435,7 @@ class ClusterManager {
         mig_active_ = false;
         co_return false;
       } else {
-        timeout = timeout * 2 < params_.retry_max_timeout_ns
-                      ? timeout * 2
-                      : params_.retry_max_timeout_ns;
+        timeout = NextRetryTimeout(pol, timeout);
       }
     }
     // Transfer runs node-to-node; we wait for the source's kMigDone report.
@@ -1573,7 +1579,7 @@ class ClusterManager {
   std::unique_ptr<sim::Nic> nic_;
   std::vector<Assign> assign_;
   std::vector<uint64_t> node_seq_;  // fencing seq per node (assignments sent)
-  std::vector<uint64_t> mgr_seq_;   // rid seq per node (probes, kMigStart)
+  std::vector<uint32_t> mgr_seq_;   // rid seq per node (probes, kMigStart)
   std::vector<NodeView> views_;
   uint64_t epoch_ = 1;
   uint64_t shard_migrations_ = 0;

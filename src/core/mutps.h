@@ -92,7 +92,6 @@ class MuTpsServer final : public KvServer {
     return dedup_.dup_done() + dedup_.dup_inflight();
   }
   void ExportMetrics(obs::MetricsRegistry* m) const override;
-  DedupWindow* MutableDedup() override { return &dedup_; }
   // True once the auto-tuner has completed its first search (always true when
   // auto-tuning is disabled) — the harness gates measurement on this.
   bool tuned() const { return tuned_once_ || !opt_.autotune; }
@@ -241,7 +240,6 @@ class MuTpsServer final : public KvServer {
   // Fault tolerance (inert without env_.fault). dead_mask_ bit i: worker i is
   // a confirmed-dead MR worker — CR routing skips it and the health probe
   // drains its rings until it restarts.
-  DedupWindow dedup_;
   sim::ExecCtx probe_ctx_;
   std::vector<uint64_t> hb_seen_;   // heartbeat snapshot per worker (probe)
   uint32_t dead_mask_ = 0;

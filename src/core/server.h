@@ -8,6 +8,7 @@
 
 #include "fault/fault.h"
 #include "index/index.h"
+#include "net/rpc.h"
 #include "obs/obs.h"
 #include "sim/arena.h"
 #include "sim/cache.h"
@@ -73,11 +74,14 @@ class KvServer {
   // harness at the end of the measurement window; no-op by default).
   virtual void ExportMetrics(obs::MetricsRegistry* m) const { (void)m; }
 
-  // At-most-once dedup window, for WAL recovery to re-seed from logged
-  // request ids. Null for servers without a retry-capable dedup path.
-  virtual DedupWindow* MutableDedup() { return nullptr; }
+  // At-most-once dedup window (DESIGN.md §9), for WAL recovery to re-seed
+  // from logged request ids.
+  DedupWindow* MutableDedup() { return &dedup_; }
 
   virtual const char* Name() const = 0;
+
+ protected:
+  DedupWindow dedup_;  // at-most-once writes under retry
 };
 
 }  // namespace utps

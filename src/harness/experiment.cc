@@ -4,10 +4,9 @@
 #include <cstdio>
 #include <memory>
 
-#include "common/env.h"
+#include "harness/kv_client.h"
 #include "index/btree.h"
 #include "index/cuckoo.h"
-#include "net/rpc.h"
 #include "stats/staged.h"
 #include "stats/streaming.h"
 
@@ -19,59 +18,32 @@ using sim::Engine;
 using sim::ExecCtx;
 using sim::Fiber;
 using sim::Nic;
-using sim::NicMessage;
-using sim::OneShot;
 using sim::Tick;
 
 namespace {
 
-// Shared state between the harness and the client fibers of one run.
-// Per-fiber client resources hoisted out of the coroutine frame: under a
-// fault plan, delayed/duplicated messages can outlive the fiber, and the
-// NIC-held NicMessage points at the gate and these buffers.
-struct ClientRes {
-  sim::RpcGate gate;
-  std::vector<uint8_t> scratch;
-  std::vector<uint8_t> out;
-};
-
+// State shared by the harness and every client fiber of one run.
 struct ClientShared {
-  Nic* nic = nullptr;
-  KvServer* server = nullptr;    // null for passive systems
-  PassiveKv* passive = nullptr;  // null for server systems
   const WorkloadSpec* spec = nullptr;  // swapped for dynamic workloads
   bool supports_scan = true;
   bool measuring = false;
   bool stop = false;
-  // Fault tolerance: rid-tagged timeout/retry sends (DESIGN.md §9).
-  bool use_retry = false;
-  std::vector<ClientRes>* res = nullptr;
-};
-
-// Client-side counters shared by every client fiber of one run.
-struct ClientStats {
   uint64_t ops = 0;
   Histogram hist;
   HistogramStage stage;  // staged latency samples; flushed into hist before
                          // any read of it (stats/staged.h)
-  uint64_t retries = 0;
   TimeSeries* timeline = nullptr;
   // fig15: per-bucket latency histograms for the P99 timeline.
   std::vector<Histogram>* lat_timeline = nullptr;
   Tick lat_bucket_ns = 0;
 };
 
-Fiber ClientFiber(ExecCtx* ctx, ClientShared* sh, ClientStats* st, uint64_t id,
-                  uint64_t seed) {
+// Closed-loop bench client: generates the workload's ops, issues each
+// through its KvClient, and records the latency.
+Fiber ClientFiber(ExecCtx* ctx, KvClient* client, ClientShared* sh,
+                  uint64_t id, uint64_t seed) {
   WorkloadGenerator gen(*sh->spec, seed + id * 1000003);
   const WorkloadSpec* cur = sh->spec;
-  OneShot done;
-  ClientRes& mine = (*sh->res)[id];
-  sim::RpcGate& gate = mine.gate;
-  uint64_t rid_seq = 1;  // rid stream: this fiber; retransmits reuse the rid
-  const RetryPolicy retry_pol;
-  std::vector<uint8_t>& scratch = mine.scratch;
-  std::vector<uint8_t>& out = mine.out;
   while (!sh->stop) {
     if (cur != sh->spec) {  // dynamic workload switch (Figure 14)
       cur = sh->spec;
@@ -82,62 +54,26 @@ Fiber ClientFiber(ExecCtx* ctx, ClientShared* sh, ClientStats* st, uint64_t id,
       op.type = OpType::kGet;
     }
     const Tick t0 = ctx->Now();
-    if (sh->passive != nullptr) {
-      switch (op.type) {
-        case OpType::kGet:
-          co_await sh->passive->ClientGet(*ctx, op.key, op.value_size, out.data());
-          break;
-        case OpType::kPut:
-          co_await sh->passive->ClientPut(*ctx, op.key, scratch.data(),
-                                          op.value_size);
-          break;
-        case OpType::kScan:
-          co_await sh->passive->ClientScan(*ctx, op.key,
-                                           op.key + op.scan_count - 1,
-                                           op.scan_count, out.data());
-          break;
-        default:
-          break;
-      }
+    if (op.type == OpType::kScan) {
+      co_await client->Call(*ctx, op.type, op.key, op.value_size, op.scan_count,
+                            op.key + op.scan_count - 1);
     } else {
-      NicMessage m;
-      if (op.type == OpType::kScan) {
-        m = EncodeRequest(OpType::kScan, op.key, op.value_size, op.scan_count,
-                          op.key + op.scan_count - 1);
-      } else {
-        m = EncodeRequest(op.type, op.key, op.value_size, 0, 0);
-      }
-      if (op.type == OpType::kPut) {
-        m.payload = scratch.data();
-        m.payload_len = op.value_size;
-      }
-      if (sh->use_retry) {
-        m.rid = (uint64_t{id + 1} << 32) | static_cast<uint32_t>(rid_seq++);
-        m.gate = &gate;
-        const unsigned attempts = co_await RpcCallWithRetry(
-            *ctx, *sh->nic, sh->server->RingForKey(op.key), m, retry_pol);
-        st->retries += attempts - 1;
-      } else {
-        m.completion = &done;
-        sh->nic->ClientSend(*ctx, sh->server->RingForKey(op.key), m);
-        co_await done.Wait(*ctx);
-        done.Reset();
-      }
+      co_await client->Call(*ctx, op.type, op.key, op.value_size);
     }
     const Tick lat = ctx->Now() - t0;
     if (sh->measuring) {
-      st->ops++;
-      st->stage.Record(lat, &st->hist);
+      sh->ops++;
+      sh->stage.Record(lat, &sh->hist);
     }
-    if (st->timeline != nullptr) {
-      st->timeline->Add(ctx->Now(), 1);
+    if (sh->timeline != nullptr) {
+      sh->timeline->Add(ctx->Now(), 1);
     }
-    if (st->lat_timeline != nullptr) {
-      const size_t b = static_cast<size_t>(ctx->Now() / st->lat_bucket_ns);
-      if (b >= st->lat_timeline->size()) {
-        st->lat_timeline->resize(b + 1);
+    if (sh->lat_timeline != nullptr) {
+      const size_t b = static_cast<size_t>(ctx->Now() / sh->lat_bucket_ns);
+      if (b >= sh->lat_timeline->size()) {
+        sh->lat_timeline->resize(b + 1);
       }
-      (*st->lat_timeline)[b].Record(lat);
+      (*sh->lat_timeline)[b].Record(lat);
     }
   }
 }
@@ -198,37 +134,6 @@ void TestBed::Populate() {
     }
     idx->BulkLoadDirect(sorted);
     index_ = std::move(idx);
-  }
-}
-
-void TestBed::BuildShards() {
-  if (!shards_.empty()) {
-    return;
-  }
-  const uint64_t n = populate_spec_.num_keys;
-  const unsigned w = server_workers_;
-  for (unsigned i = 0; i < w; i++) {
-    if (index_type_ == IndexType::kHash) {
-      shards_.push_back(
-          std::make_unique<CuckooIndex>(arena_.get(), n / w + n / w / 2 + 64,
-                                        seed_ + i + 1));
-    } else {
-      shards_.push_back(std::make_unique<BTreeIndex>(arena_.get()));
-    }
-  }
-  if (index_type_ == IndexType::kHash) {
-    for (Key k = 0; k < n; k++) {
-      UTPS_CHECK(
-          shards_[ErpcKvServer::ShardOf(k, w)]->InsertDirect(k, items_[k]));
-    }
-  } else {
-    std::vector<std::vector<std::pair<Key, Item*>>> per(w);
-    for (Key k = 0; k < n; k++) {
-      per[ErpcKvServer::ShardOf(k, w)].emplace_back(k, items_[k]);
-    }
-    for (unsigned i = 0; i < w; i++) {
-      static_cast<BTreeIndex*>(shards_[i].get())->BulkLoadDirect(per[i]);
-    }
   }
 }
 
@@ -327,17 +232,17 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
       break;
     }
     case SystemKind::kBaseKv: {
-      server = std::make_unique<BaseKvServer>(env, BaseKvServer::Options{});
+      server = std::make_unique<BaseKvServer>(env);
       break;
     }
     case SystemKind::kErpcKv: {
-      BuildShards();
-      std::vector<KvIndex*> shards;
-      for (auto& s : shards_) {
-        shards.push_back(s.get());
+      if (shards_.empty()) {
+        const uint64_t n = populate_spec_.num_keys;
+        const unsigned w = server_workers_;
+        shards_ = BaseKvServer::BuildShards(arena_.get(), index_type_, items_,
+                                            w, n / w + n / w / 2 + 64, seed_);
       }
-      server = std::make_unique<ErpcKvServer>(env, ErpcKvServer::Options{},
-                                              std::move(shards));
+      server = std::make_unique<BaseKvServer>(env, shards_);
       break;
     }
     case SystemKind::kRaceHash: {
@@ -361,38 +266,33 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
   // Clients.
   constexpr Tick kTimelineBucketNs = 100 * sim::kUsec;
   ClientShared sh;
-  sh.nic = &nic;
-  sh.server = server.get();
-  sh.passive = passive;
   sh.spec = &cfg.workload;
   sh.supports_scan = index_type_ == IndexType::kTree &&
                      cfg.system != SystemKind::kRaceHash;
   // Under faults, two-sided clients must retry (a dropped message would
   // otherwise hang the fiber). One-sided verbs model reliable RDMA.
-  sh.use_retry = inj != nullptr && server != nullptr;
-  ClientStats cstats;
+  const KvTarget target{.nic = &nic, .server = server.get(), .passive = passive,
+                        .use_retry = inj != nullptr && server != nullptr};
   TimeSeries timeline(kTimelineBucketNs);
   std::vector<Histogram> lat_timeline;
   if (cfg.record_timeline) {
-    cstats.timeline = &timeline;
+    sh.timeline = &timeline;
   }
   if (cfg.record_latency_timeline) {
-    cstats.lat_timeline = &lat_timeline;
-    cstats.lat_bucket_ns = kTimelineBucketNs;
+    sh.lat_timeline = &lat_timeline;
+    sh.lat_bucket_ns = kTimelineBucketNs;
   }
   const unsigned num_fibers = cfg.client_threads * cfg.pipeline_depth;
-  // Gates and I/O buffers live here, not in the fiber frames: a fault plan
-  // can deliver delayed/duplicated messages after a fiber has exited.
-  std::vector<ClientRes> client_res(num_fibers);
-  for (unsigned i = 0; i < num_fibers; i++) {
-    client_res[i].scratch.assign(1536, static_cast<uint8_t>(i + 1));
-    client_res[i].out.resize(16384);
-  }
-  sh.res = &client_res;
+  // Clients live here, not in the fiber frames: a fault plan can deliver
+  // delayed/duplicated messages after a fiber has exited.
+  std::vector<KvClient> clients;
+  clients.reserve(num_fibers);
   std::vector<ExecCtx> cli_ctxs(num_fibers);
   for (unsigned i = 0; i < num_fibers; i++) {
+    clients.emplace_back(&target, i, 1536, static_cast<uint8_t>(i + 1),
+                         /*copy_responses=*/false);
     cli_ctxs[i] = ExecCtx{.eng = &eng, .mem = nullptr, .core = 0};
-    eng.Spawn(ClientFiber(&cli_ctxs[i], &sh, &cstats, i, cfg.seed));
+    eng.Spawn(ClientFiber(&cli_ctxs[i], &clients[i], &sh, i, cfg.seed));
   }
 
   // Warm up; for auto-tuned μTPS, wait until the first tuning pass finishes.
@@ -449,18 +349,11 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
         mem_->SetFastForward(false);
       }
       eng.Run(wstart);
-      const uint64_t before = cstats.ops;
+      const uint64_t before = sh.ops;
       sh.measuring = true;
       eng.Run(wend);
       sh.measuring = false;
-      const uint64_t delta = cstats.ops - before;
-      if (EnvInt("MUTPS_SAMPLE_DEBUG", 0) != 0) {
-        std::fprintf(stderr, "sample window %llu: [%llu, %llu) ops=%llu\n",
-                     static_cast<unsigned long long>(period),
-                     static_cast<unsigned long long>(wstart),
-                     static_cast<unsigned long long>(wend),
-                     static_cast<unsigned long long>(delta));
-      }
+      const uint64_t delta = sh.ops - before;
       win_rate.Add(static_cast<double>(delta) * 1000.0 /
                    static_cast<double>(sc.window_ns));
       detail_ns += sc.window_ns;
@@ -483,9 +376,9 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
   const uint64_t measure_allocs =
       g_alloc_probe != nullptr ? g_alloc_probe() - allocs0 : 0;
 
-  cstats.stage.FlushTo(&cstats.hist);
-  const uint64_t total_ops = cstats.ops;
-  const Histogram& hist = cstats.hist;
+  sh.stage.FlushTo(&sh.hist);
+  const uint64_t total_ops = sh.ops;
+  const Histogram& hist = sh.hist;
 
   ExperimentResult res;
   res.ops = total_ops;
@@ -539,7 +432,9 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
     res.hot_hits = mutps->hot_hits();
     res.hot_misses = mutps->hot_misses();
   }
-  res.retries = cstats.retries;
+  for (const KvClient& c : clients) {
+    res.retries += c.retries();
+  }
   if (inj != nullptr) {
     res.fault_counters = inj->counters();
   }

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "baseline/basekv.h"
-#include "baseline/erpckv.h"
 #include "baseline/passive.h"
 #include "core/mutps.h"
 #include "core/server.h"
@@ -74,7 +73,8 @@ struct ExperimentConfig {
   // Fault injection (DESIGN.md §9). Disabled by default; a run with
   // fault.enabled() == false is byte-identical to a build without faults.
   // When enabled, clients of two-sided systems switch to rid-tagged
-  // timeout/retry sends (RpcCallWithRetry) so the run survives drops.
+  // timeout/retry sends (KvClient, harness/kv_client.h) so the run survives
+  // drops.
   fault::FaultConfig fault;
   // fig15: also record a per-bucket P99 latency timeline (same bucket width
   // as record_timeline).
@@ -202,7 +202,6 @@ class TestBed {
 
  private:
   void Populate();
-  void BuildShards();
   void BuildRaceHash();
   void BuildSherman();
 

@@ -260,6 +260,20 @@ struct RetryPolicy {
   Rng* rng = nullptr;
 };
 
+// The timeout after one that expired: doubled up to the cap, then stretched
+// by the policy's jitter (one draw from pol.rng, when it is set).
+inline sim::Tick NextRetryTimeout(const RetryPolicy& pol, sim::Tick timeout) {
+  timeout = timeout * 2 < pol.max_timeout_ns ? timeout * 2 : pol.max_timeout_ns;
+  if (pol.rng != nullptr && pol.jitter_frac > 0.0) {
+    const auto span = static_cast<sim::Tick>(
+        pol.jitter_frac * static_cast<double>(timeout));
+    if (span > 0) {
+      timeout += pol.rng->NextBounded(span);
+    }
+  }
+  return timeout;
+}
+
 inline sim::Task<unsigned> RpcCallWithRetry(sim::ExecCtx& ctx, sim::Nic& nic,
                                             unsigned ring,
                                             const sim::NicMessage& msg,
@@ -287,20 +301,20 @@ inline sim::Task<unsigned> RpcCallWithRetry(sim::ExecCtx& ctx, sim::Nic& nic,
     if (gate.ReadyAt(ctx.Now())) {
       co_return attempts;
     }
-    timeout = timeout * 2 < pol.max_timeout_ns ? timeout * 2 : pol.max_timeout_ns;
-    if (pol.rng != nullptr && pol.jitter_frac > 0.0) {
-      const auto span = static_cast<sim::Tick>(
-          pol.jitter_frac * static_cast<double>(timeout));
-      if (span > 0) {
-        timeout += pol.rng->NextBounded(span);
-      }
-    }
+    timeout = NextRetryTimeout(pol, timeout);
   }
 }
 
 // -------------------------------------------------------------------- dedup
-// Server-side at-most-once window (DESIGN.md §9). Request ids are
-// per-client-stream monotone: rid = (stream + 1) << 32 | seq with seq >= 1.
+// Request ids are per-stream monotone: the high word names the sender's
+// stream (a client's is its id + 1; src/cluster/proto.h partitions the rest),
+// the low word is the stream's operation sequence, starting at 1. Every
+// sender mints its rids here.
+inline uint64_t MakeRid(uint64_t stream, uint32_t seq) {
+  return (stream << 32) | seq;
+}
+
+// Server-side at-most-once window (DESIGN.md §9), keyed by the rid's stream.
 // Each client stream runs one operation at a time and retransmits reuse the
 // operation's rid, so one {highest started, highest done} pair per stream is
 // a complete dedup record — no per-rid table growth, O(1) per request.

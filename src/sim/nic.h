@@ -322,25 +322,13 @@ class Nic {
       if (!req.gate->AcceptsResponse(req.rid)) {
         return;
       }
-      if (req.copy_out != nullptr && resp_src != nullptr) {
-        std::memcpy(req.copy_out, resp_src, resp_payload_len);
-      }
-      if (req.resp_len_out != nullptr) {
-        *req.resp_len_out = resp_payload_len;
-      }
-      const_cast<NicMessage&>(req).copy_out_len = resp_payload_len;
+      CopyOut(req, resp_src, resp_payload_len, true);
       const Tick at = dep + cfg_.rtt_ns / 2;
       req.gate->Complete(at < srv.Now() ? srv.Now() : at);
       return;
     }
-    if (req.copy_out != nullptr && resp_src != nullptr) {
-      std::memcpy(req.copy_out, resp_src, resp_payload_len);
-    }
-    if (req.resp_len_out != nullptr) {
-      *req.resp_len_out = resp_payload_len;
-    }
+    CopyOut(req, resp_src, resp_payload_len, req.completion != nullptr);
     if (req.completion != nullptr) {
-      const_cast<NicMessage&>(req).copy_out_len = resp_payload_len;
       req.completion->Complete(*eng_, dep + cfg_.rtt_ns / 2);
     }
   }
@@ -364,13 +352,7 @@ class Nic {
       if (!req.gate->AcceptsResponse(req.rid)) {
         return;
       }
-      if (req.copy_out != nullptr && resp_src != nullptr) {
-        std::memcpy(req.copy_out, resp_src, resp_payload_len);
-      }
-      if (req.resp_len_out != nullptr) {
-        *req.resp_len_out = resp_payload_len;
-      }
-      const_cast<NicMessage&>(req).copy_out_len = resp_payload_len;
+      CopyOut(req, resp_src, resp_payload_len, true);
       const Tick at = dep + cfg_.rtt_ns / 2 + f.extra_delay;
       req.gate->Complete(at < srv.Now() ? srv.Now() : at);
       return;
@@ -378,14 +360,8 @@ class Nic {
     // Legacy OneShot client under an active fault plan: dropping the single
     // completion would hang the client, so only the delay spike applies.
     // Message-level loss requires the rid/gate retry path.
-    if (req.copy_out != nullptr && resp_src != nullptr) {
-      std::memcpy(req.copy_out, resp_src, resp_payload_len);
-    }
-    if (req.resp_len_out != nullptr) {
-      *req.resp_len_out = resp_payload_len;
-    }
+    CopyOut(req, resp_src, resp_payload_len, req.completion != nullptr);
     if (req.completion != nullptr) {
-      const_cast<NicMessage&>(req).copy_out_len = resp_payload_len;
       req.completion->Complete(*eng_, dep + cfg_.rtt_ns / 2 + f.extra_delay);
     }
   }
@@ -467,6 +443,22 @@ class Nic {
   // NIC reads it through its mem_ pointer. The fault path (hook_ != nullptr)
   // deliberately ignores it — fault schedules stay fully modeled.
   bool FastForward() const { return mem_ != nullptr && mem_->fast_forward(); }
+
+  // Response delivery into the client's buffers: the payload copy (when the
+  // request asked for one), the client's length word, and — when
+  // `set_copy_len` — copy_out_len on the server-side message copy.
+  static void CopyOut(const NicMessage& req, const void* resp_src,
+                      uint32_t resp_payload_len, bool set_copy_len) {
+    if (req.copy_out != nullptr && resp_src != nullptr) {
+      std::memcpy(req.copy_out, resp_src, resp_payload_len);
+    }
+    if (req.resp_len_out != nullptr) {
+      *req.resp_len_out = resp_payload_len;
+    }
+    if (set_copy_len) {
+      const_cast<NicMessage&>(req).copy_out_len = resp_payload_len;
+    }
+  }
 
   // Sorted insert by arrival tick: fault delays/duplicates can reorder
   // deliveries relative to send order, but the queue itself stays ordered.

@@ -109,15 +109,8 @@ inline sim::Fiber ClusterDstClient(sim::ExecCtx* ctx,
       case check::OpKind::kGet: {
         const uint32_t len =
             co_await cli.Call(OpType::kGet, key, nullptr, 0, out.data());
-        const sim::Tick resp = ctx->Now();
-        if (len == 0) {
-          st->hist.RecordGet(id, key, 0, false, inv, resp);  // absent
-        } else if (len != cfg->value_size) {
-          st->hist.RecordGet(id, key, 0, true, inv, resp);  // wrong length
-        } else {
-          const uint64_t s = check::StampParse(out.data(), len);
-          st->hist.RecordGet(id, key, s, s == 0, inv, resp);
-        }
+        RecordGetBytes(&st->hist, id, key, out.data(), len, cfg->value_size,
+                       inv, ctx->Now());
         break;
       }
       case check::OpKind::kPut: {
@@ -258,9 +251,8 @@ inline DstClusterResult RunDstCluster(const DstClusterConfig& cfg) {
     if (it == nullptr) {
       hist.RecordGet(auditor, k, 0, false, t, t + 1);  // absent
     } else {
-      const uint64_t s = check::StampParse(it->value(), it->value_len);
-      hist.RecordGet(auditor, k, s, s == 0 || it->value_len != cfg.value_size,
-                     t, t + 1);
+      internal::RecordGetBytes(&hist, auditor, k, it->value(), it->value_len,
+                               cfg.value_size, t, t + 1);
     }
     t += 2;
   }

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "baseline/basekv.h"
-#include "baseline/erpckv.h"
 #include "baseline/passive.h"
 #include "check/history.h"
 #include "check/invariants.h"
@@ -31,11 +30,10 @@
 #include "core/mutps.h"
 #include "core/server.h"
 #include "fault/fault.h"
+#include "harness/kv_client.h"
 #include "index/btree.h"
 #include "index/cuckoo.h"
-#include "net/rpc.h"
 #include "sim/nic.h"
-#include "sim/sync.h"
 #include "store/item.h"
 #include "store/slab.h"
 #include "wal/wal.h"
@@ -127,29 +125,11 @@ struct DstResult {
 
 namespace internal {
 
-// Per-client resources that outlive the client fiber. Under a fault plan,
-// delayed or duplicated messages can still be in flight (and in the NIC's
-// rings) after the fiber exits; the NicMessage they carry points at these
-// buffers and the gate, so they must live for the whole run, not in the
-// coroutine frame.
-struct ClientRes {
-  sim::RpcGate gate;
-  std::vector<uint8_t> payload;
-  std::vector<uint8_t> out;
-  uint32_t resp_len = 0;
-};
-
 struct Shared {
   const DstConfig* cfg = nullptr;
-  sim::Nic* nic = nullptr;
-  KvServer* server = nullptr;
-  PassiveKv* passive = nullptr;
   check::History* hist = nullptr;
   bool supports_scan = false;
   bool supports_delete = false;
-  bool use_retry = false;
-  std::vector<ClientRes>* res = nullptr;
-  uint64_t retries = 0;
   uint64_t issued = 0;
   uint64_t completed = 0;
   unsigned active = 0;
@@ -168,22 +148,24 @@ inline check::OpKind PickKind(const Mix& m, double dice) {
   return check::OpKind::kScan;
 }
 
-inline void RecordGetBytes(Shared* sh, uint16_t id, Key key, const uint8_t* buf,
-                           uint32_t len, uint32_t vsize, sim::Tick inv,
-                           sim::Tick resp) {
+// Records a GET that returned `len` bytes of `buf`: absent when empty,
+// corrupt when the length or the stamp is wrong.
+inline void RecordGetBytes(check::History* hist, uint16_t id, Key key,
+                           const uint8_t* buf, uint32_t len, uint32_t vsize,
+                           sim::Tick inv, sim::Tick resp) {
   if (len == 0) {
-    sh->hist->RecordGet(id, key, 0, false, inv, resp);  // absent
+    hist->RecordGet(id, key, 0, false, inv, resp);  // absent
     return;
   }
   if (len != vsize) {
-    sh->hist->RecordGet(id, key, 0, true, inv, resp);  // wrong length
+    hist->RecordGet(id, key, 0, true, inv, resp);  // wrong length
     return;
   }
   const uint64_t stamp = check::StampParse(buf, len);
-  sh->hist->RecordGet(id, key, stamp, stamp == 0, inv, resp);
+  hist->RecordGet(id, key, stamp, stamp == 0, inv, resp);
 }
 
-inline void RecordScanBytes(Shared* sh, uint16_t id, Key lo, Key hi,
+inline void RecordScanBytes(check::History* hist, uint16_t id, Key lo, Key hi,
                             uint32_t count, const uint8_t* buf, uint32_t len,
                             uint32_t vsize, sim::Tick inv, sim::Tick resp) {
   std::vector<uint64_t> stamps;
@@ -198,21 +180,16 @@ inline void RecordScanBytes(Shared* sh, uint16_t id, Key lo, Key hi,
       stamps.push_back(s);
     }
   }
-  sh->hist->RecordScan(id, lo, hi, count, std::move(stamps), corrupt, inv,
-                       resp);
+  hist->RecordScan(id, lo, hi, count, std::move(stamps), corrupt, inv, resp);
 }
 
-inline sim::Fiber Client(sim::ExecCtx* ctx, Shared* sh, uint16_t id) {
+// History-recording client: generates the mix's ops, issues each through
+// its KvClient, and records invocation, response and returned bytes.
+inline sim::Fiber Client(sim::ExecCtx* ctx, KvClient* client, Shared* sh,
+                         uint16_t id) {
   const DstConfig& cfg = *sh->cfg;
   Rng rng(Mix64(cfg.seed) + uint64_t{id} * 1000003 + 7);
   ScrambledZipfian zipf(cfg.num_keys, cfg.zipf_theta);
-  sim::OneShot done;
-  ClientRes& mine = (*sh->res)[id];
-  sim::RpcGate& gate = mine.gate;
-  std::vector<uint8_t>& payload = mine.payload;
-  std::vector<uint8_t>& out = mine.out;
-  uint32_t& resp_len = mine.resp_len;
-  resp_len = 0;
   for (uint32_t i = 0; i < cfg.ops_per_client; i++) {
     if (sh->issued >= cfg.max_ops) {
       break;
@@ -232,92 +209,31 @@ inline sim::Fiber Client(sim::ExecCtx* ctx, Shared* sh, uint16_t id) {
     const uint32_t span =
         1 + static_cast<uint32_t>(rng.NextBounded(2 * cfg.scan_len_avg));
     const Key upper = key + span - 1;
-    resp_len = 0;
     const sim::Tick inv = ctx->Now();
-    if (sh->passive != nullptr) {
-      switch (kind) {
-        case check::OpKind::kGet: {
-          resp_len = co_await sh->passive->ClientGet(*ctx, key, cfg.value_size,
-                                                     out.data());
-          RecordGetBytes(sh, id, key, out.data(), resp_len, cfg.value_size,
-                         inv, ctx->Now());
-          break;
+    switch (kind) {
+      case check::OpKind::kGet:
+        co_await client->Call(*ctx, OpType::kGet, key, cfg.value_size);
+        RecordGetBytes(sh->hist, id, key, client->out(), client->resp_len(),
+                       cfg.value_size, inv, ctx->Now());
+        break;
+      case check::OpKind::kPut:
+        check::StampFill(client->payload(), cfg.value_size, stamp);
+        // A failed passive put (lock/CAS retries exhausted) has no effect;
+        // it does not enter the history.
+        if (co_await client->Call(*ctx, OpType::kPut, key, cfg.value_size)) {
+          sh->hist->RecordPut(id, key, stamp, inv, ctx->Now());
         }
-        case check::OpKind::kPut: {
-          check::StampFill(payload.data(), cfg.value_size, stamp);
-          const bool ok = co_await sh->passive->ClientPut(
-              *ctx, key, payload.data(), cfg.value_size);
-          // A failed passive put (lock/CAS retries exhausted) has no effect;
-          // it does not enter the history.
-          if (ok) {
-            sh->hist->RecordPut(id, key, stamp, inv, ctx->Now());
-          }
-          break;
-        }
-        case check::OpKind::kScan: {
-          resp_len = co_await sh->passive->ClientScan(*ctx, key, upper, span,
-                                                      out.data());
-          RecordScanBytes(sh, id, key, upper, span, out.data(), resp_len,
-                          cfg.value_size, inv, ctx->Now());
-          break;
-        }
-        case check::OpKind::kDelete:
-          break;  // unreachable: downgraded above
-      }
-    } else {
-      sim::NicMessage m;
-      switch (kind) {
-        case check::OpKind::kGet:
-          m = EncodeRequest(OpType::kGet, key, cfg.value_size, 0, 0);
-          m.copy_out = out.data();
-          m.resp_len_out = &resp_len;
-          break;
-        case check::OpKind::kPut:
-          check::StampFill(payload.data(), cfg.value_size, stamp);
-          m = EncodeRequest(OpType::kPut, key, cfg.value_size, 0, 0);
-          m.payload = payload.data();
-          m.payload_len = cfg.value_size;
-          break;
-        case check::OpKind::kDelete:
-          m = EncodeRequest(OpType::kDelete, key, 0, 0, 0);
-          break;
-        case check::OpKind::kScan:
-          m = EncodeRequest(OpType::kScan, key, cfg.value_size, span, upper);
-          m.copy_out = out.data();
-          m.resp_len_out = &resp_len;
-          break;
-      }
-      if (sh->use_retry) {
-        // rid stream = client id; retransmits reuse the op's rid so the
-        // server's DedupWindow makes the write at-most-once.
-        m.rid = ((uint64_t{id} + 1) << 32) | (i + 1);
-        m.gate = &gate;
-        const unsigned attempts = co_await RpcCallWithRetry(
-            *ctx, *sh->nic, sh->server->RingForKey(key), m, RetryPolicy{});
-        sh->retries += attempts - 1;
-      } else {
-        m.completion = &done;
-        sh->nic->ClientSend(*ctx, sh->server->RingForKey(key), m);
-        co_await done.Wait(*ctx);
-        done.Reset();
-      }
-      const sim::Tick resp = ctx->Now();
-      switch (kind) {
-        case check::OpKind::kGet:
-          RecordGetBytes(sh, id, key, out.data(), resp_len, cfg.value_size,
-                         inv, resp);
-          break;
-        case check::OpKind::kPut:
-          sh->hist->RecordPut(id, key, stamp, inv, resp);
-          break;
-        case check::OpKind::kDelete:
-          sh->hist->RecordDelete(id, key, inv, resp);
-          break;
-        case check::OpKind::kScan:
-          RecordScanBytes(sh, id, key, upper, span, out.data(), resp_len,
-                          cfg.value_size, inv, resp);
-          break;
-      }
+        break;
+      case check::OpKind::kDelete:
+        co_await client->Call(*ctx, OpType::kDelete, key, 0);
+        sh->hist->RecordDelete(id, key, inv, ctx->Now());
+        break;
+      case check::OpKind::kScan:
+        co_await client->Call(*ctx, OpType::kScan, key, cfg.value_size, span,
+                              upper);
+        RecordScanBytes(sh->hist, id, key, upper, span, client->out(),
+                        client->resp_len(), cfg.value_size, inv, ctx->Now());
+        break;
     }
     sh->completed++;
   }
@@ -428,15 +344,9 @@ inline DstResult RunDst(const DstConfig& cfg) {
   std::unique_ptr<KvIndex> index = build_index(items);
   std::vector<std::unique_ptr<KvIndex>> shards;
   if (cfg.sys == Sys::kErpcKv) {
-    for (unsigned i = 0; i < cfg.workers; i++) {
-      shards.push_back(std::make_unique<CuckooIndex>(
-          &arena, std::max<uint64_t>(cfg.num_keys * 2, 256),
-          cfg.seed + i + 1));
-    }
-    for (Key k = 0; k < cfg.num_keys; k++) {
-      UTPS_CHECK(shards[ErpcKvServer::ShardOf(k, cfg.workers)]->InsertDirect(
-          k, items[k]));
-    }
+    shards = BaseKvServer::BuildShards(
+        &arena, IndexType::kHash, items, cfg.workers,
+        std::max<uint64_t>(cfg.num_keys * 2, 256), cfg.seed);
   }
   std::unique_ptr<ShermanPassive> sherman;
   if (cfg.sys == Sys::kSherman) {
@@ -479,10 +389,10 @@ inline DstResult RunDst(const DstConfig& cfg) {
   env.num_workers = cfg.workers;
   env.wal = walm.get();
 
-  // Factory for the crash-recoverable systems: recovery constructs a second
-  // instance over the rebuilt store with identical options.
-  auto make_server = [&cfg](const ServerEnv& e) -> std::unique_ptr<KvServer> {
-    if (cfg.sys == Sys::kMuTpsH || cfg.sys == Sys::kMuTpsT) {
+  // Server factory; crash recovery calls it again over the rebuilt store.
+  const bool is_mutps = cfg.sys == Sys::kMuTpsH || cfg.sys == Sys::kMuTpsT;
+  auto make_server = [&](const ServerEnv& e) -> std::unique_ptr<KvServer> {
+    if (is_mutps) {
       MuTpsServer::Options o;
       o.autotune = false;
       o.initial_ncr = std::max(1u, cfg.workers / 2);
@@ -492,66 +402,45 @@ inline DstResult RunDst(const DstConfig& cfg) {
       o.refresh_period_ns = 60 * sim::kUsec;
       return std::make_unique<MuTpsServer>(e, o);
     }
-    UTPS_CHECK(cfg.sys == Sys::kBaseKv);
-    return std::make_unique<BaseKvServer>(e, BaseKvServer::Options{});
+    return std::make_unique<BaseKvServer>(e, shards);  // eRPCKV: shards
   };
 
   std::unique_ptr<KvServer> server;
-  MuTpsServer* mutps = nullptr;
   PassiveKv* passive = nullptr;
-  switch (cfg.sys) {
-    case Sys::kMuTpsH:
-    case Sys::kMuTpsT:
-      server = make_server(env);
-      mutps = static_cast<MuTpsServer*>(server.get());
-      break;
-    case Sys::kBaseKv:
-      server = make_server(env);
-      break;
-    case Sys::kErpcKv: {
-      std::vector<KvIndex*> sp;
-      for (auto& s : shards) {
-        sp.push_back(s.get());
-      }
-      server = std::make_unique<ErpcKvServer>(env, ErpcKvServer::Options{},
-                                              std::move(sp));
-      break;
-    }
-    case Sys::kSherman:
-      passive = sherman.get();
-      passive->SetNic(&nic);
-      break;
-  }
-  if (server != nullptr) {
+  if (cfg.sys == Sys::kSherman) {
+    passive = sherman.get();
+    passive->SetNic(&nic);
+  } else {
+    server = make_server(env);
     server->Start();
   }
+  MuTpsServer* mutps =
+      is_mutps ? static_cast<MuTpsServer*>(server.get()) : nullptr;
 
   // ---- recording clients --------------------------------------------------
   internal::Shared sh;
   sh.cfg = &cfg;
-  sh.nic = &nic;
-  sh.server = server.get();
-  sh.passive = passive;
   sh.hist = &hist;
   sh.supports_scan = tree && cfg.sys != Sys::kErpcKv;
   sh.supports_delete = cfg.sys == Sys::kBaseKv || cfg.sys == Sys::kErpcKv;
+  sh.active = cfg.clients;
   // Under faults, two-sided clients must retry or a dropped message would
   // strand the fiber; one-sided verbs model reliable RDMA (no drops). A
   // whole-server crash likewise drops queued requests, so its clients must
   // also be on the retry path.
-  sh.use_retry =
-      (inj != nullptr || cfg.server_crash_at_ns > 0) && server != nullptr;
-  std::vector<internal::ClientRes> client_res(cfg.clients);
-  for (auto& r : client_res) {
-    r.payload.resize(cfg.value_size);
-    r.out.resize(16384);
-  }
-  sh.res = &client_res;
-  sh.active = cfg.clients;
+  KvTarget target{.nic = &nic, .server = server.get(), .passive = passive,
+                  .use_retry = (inj != nullptr || cfg.server_crash_at_ns > 0) &&
+                               server != nullptr};
+  // Clients outlive their fibers: fault-delayed messages point into them.
+  std::vector<KvClient> clients;
+  clients.reserve(cfg.clients);
   std::vector<sim::ExecCtx> ctxs(cfg.clients + 1);
   for (unsigned i = 0; i < cfg.clients; i++) {
+    clients.emplace_back(&target, i, cfg.value_size, 0,
+                         /*copy_responses=*/true);
     ctxs[i] = sim::ExecCtx{.eng = &eng, .mem = nullptr, .core = 0};
-    eng.Spawn(internal::Client(&ctxs[i], &sh, static_cast<uint16_t>(i)));
+    eng.Spawn(internal::Client(&ctxs[i], &clients[i], &sh,
+                               static_cast<uint16_t>(i)));
   }
   if (cfg.inject_split && mutps != nullptr) {
     ctxs[cfg.clients] = sim::ExecCtx{.eng = &eng, .mem = nullptr, .core = 0};
@@ -606,13 +495,11 @@ inline DstResult RunDst(const DstConfig& cfg) {
       env.index = index2.get();
       dead_server = std::move(server);
       server = make_server(env);
-      mutps = (cfg.sys == Sys::kMuTpsH || cfg.sys == Sys::kMuTpsT)
-                  ? static_cast<MuTpsServer*>(server.get())
-                  : nullptr;
+      mutps = is_mutps ? static_cast<MuTpsServer*>(server.get()) : nullptr;
       out.wal_replayed =
           walm->Replay(index2.get(), slab2.get(), server->MutableDedup());
       server->Start();
-      sh.server = server.get();  // clients pick up the new instance per-op
+      target.server = server.get();  // clients pick it up on their next op
       out.recoveries++;
     }
   }
@@ -672,8 +559,8 @@ inline DstResult RunDst(const DstConfig& cfg) {
       if (it == nullptr) {
         hist.RecordGet(auditor, k, 0, false, t, t + 1);  // absent
       } else {
-        internal::RecordGetBytes(&sh, auditor, k, it->value(), it->value_len,
-                                 cfg.value_size, t, t + 1);
+        internal::RecordGetBytes(&hist, auditor, k, it->value(),
+                                 it->value_len, cfg.value_size, t, t + 1);
       }
       t += 2;  // keep the auditor's ops sequential in virtual time
     }
@@ -686,7 +573,9 @@ inline DstResult RunDst(const DstConfig& cfg) {
 
   out.ops_issued = sh.issued;
   out.ops_completed = sh.completed;
-  out.retries = sh.retries;
+  for (const KvClient& c : clients) {
+    out.retries += c.retries();
+  }
   out.failovers = mutps != nullptr ? mutps->failover_count() : 0;
   out.ops_checked = lin.ops_checked;
   out.inconclusive = lin.inconclusive;

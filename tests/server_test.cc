@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "harness/experiment.h"
+#include "harness/kv_client.h"
 #include "index/cuckoo.h"
 
 namespace utps {
@@ -83,36 +84,21 @@ TEST(TestBedDeath, SimThreadsAboveOneRejected) {
 
 // ------------------------------------------------------- data correctness
 
-// A hand-rolled client that round-trips values with copy-out verification.
-sim::Fiber VerifyingClient(sim::ExecCtx* ctx, sim::Nic* nic, KvServer* server,
-                           uint64_t keys, int rounds, int* failures,
-                           bool* done) {
-  sim::OneShot os;
-  std::vector<uint8_t> put_buf(256);
-  std::vector<uint8_t> get_buf(1536);
+// Round-trips values through the KvClient request path and verifies the
+// copied-out bytes.
+sim::Fiber VerifyingClient(sim::ExecCtx* ctx, KvClient* client, uint64_t keys,
+                           int rounds, int* failures, bool* done) {
   Rng rng(99);
+  const uint32_t len = 64;
   for (int r = 0; r < rounds; r++) {
     const Key k = rng.NextBounded(keys);
-    // Write a recognizable pattern.
-    for (size_t i = 0; i < put_buf.size(); i++) {
-      put_buf[i] = static_cast<uint8_t>(k * 7 + i + r);
+    uint8_t* put = client->payload();
+    for (uint32_t i = 0; i < len; i++) {  // a recognizable pattern
+      put[i] = static_cast<uint8_t>(k * 7 + i + r);
     }
-    const uint32_t len = 64;
-    sim::NicMessage put = EncodeRequest(OpType::kPut, k, len, 0, 0);
-    put.payload = put_buf.data();
-    put.payload_len = len;
-    put.completion = &os;
-    nic->ClientSend(*ctx, server->RingForKey(k), put);
-    co_await os.Wait(*ctx);
-    os.Reset();
-    // Read it back with copy-out.
-    sim::NicMessage get = EncodeRequest(OpType::kGet, k, len, 0, 0);
-    get.completion = &os;
-    get.copy_out = get_buf.data();
-    nic->ClientSend(*ctx, server->RingForKey(k), get);
-    co_await os.Wait(*ctx);
-    os.Reset();
-    if (std::memcmp(get_buf.data(), put_buf.data(), len) != 0) {
+    co_await client->Call(*ctx, OpType::kPut, k, len);
+    co_await client->Call(*ctx, OpType::kGet, k, len);
+    if (client->resp_len() != len || std::memcmp(client->out(), put, len) != 0) {
       (*failures)++;
     }
   }
@@ -130,17 +116,20 @@ TEST_P(RoundTripTest, PutThenGetReturnsWrittenBytes) {
   SlabAllocator slab(&arena);
   CuckooIndex kv_index(&arena, 4096);
   const uint64_t kKeys = 512;
+  std::vector<Item*> items;
   for (Key k = 0; k < kKeys; k++) {
     Item* it = slab.AllocateItem(k, 64);
     std::memset(it->value(), 0, 64);
     it->value_len = 64;
     kv_index.InsertDirect(k, it);
+    items.push_back(it);
   }
   sim::Engine eng;
   sim::Nic nic(&eng, &mem, sim::NicConfig{}, sys == SystemKind::kErpcKv ? 4u : 1u);
   ServerEnv env{.eng = &eng, .mem = &mem, .nic = &nic, .arena = &arena,
                 .slab = &slab, .index = &kv_index, .index_type = IndexType::kHash,
                 .num_workers = 4};
+  std::vector<std::unique_ptr<KvIndex>> shards;  // eRPCKV's
   std::unique_ptr<KvServer> server;
   if (sys == SystemKind::kMuTps) {
     MuTpsServer::Options opt;
@@ -149,32 +138,19 @@ TEST_P(RoundTripTest, PutThenGetReturnsWrittenBytes) {
     opt.refresh_period_ns = 200 * sim::kUsec;
     server = std::make_unique<MuTpsServer>(env, opt);
   } else if (sys == SystemKind::kBaseKv) {
-    server = std::make_unique<BaseKvServer>(env, BaseKvServer::Options{});
+    server = std::make_unique<BaseKvServer>(env);
   } else {
-    std::vector<std::unique_ptr<KvIndex>> shard_store;
-    std::vector<KvIndex*> shards;
-    for (unsigned i = 0; i < 4; i++) {
-      shard_store.push_back(std::make_unique<CuckooIndex>(&arena, 2048, 7 + i));
-      shards.push_back(shard_store.back().get());
-    }
-    for (Key k = 0; k < kKeys; k++) {
-      shards[ErpcKvServer::ShardOf(k, 4)]->InsertDirect(k, kv_index.GetDirect(k));
-    }
-    auto srv = std::make_unique<ErpcKvServer>(env, ErpcKvServer::Options{},
-                                              std::move(shards));
-    // keep shard storage alive for the test duration
-    static std::vector<std::unique_ptr<KvIndex>> keepalive;
-    for (auto& s : shard_store) {
-      keepalive.push_back(std::move(s));
-    }
-    server = std::move(srv);
+    shards = BaseKvServer::BuildShards(&arena, IndexType::kHash, items, 4,
+                                       2048, 6);
+    server = std::make_unique<BaseKvServer>(env, shards);
   }
   server->Start();
   sim::ExecCtx cli{.eng = &eng, .mem = nullptr};
   int failures = 0;
   bool done = false;
-  eng.Spawn(VerifyingClient(&cli, &nic, server.get(), kKeys, 300, &failures,
-                            &done));
+  const KvTarget target{.nic = &nic, .server = server.get()};
+  KvClient client(&target, 0, 64, 0, /*copy_responses=*/true);
+  eng.Spawn(VerifyingClient(&cli, &client, kKeys, 300, &failures, &done));
   while (!done && eng.now() < 500 * kMsec) {
     eng.Run(eng.now() + kMsec);
   }
