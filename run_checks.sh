@@ -1,6 +1,7 @@
 #!/bin/bash
 # Runs the correctness-checking suite (DESIGN.md §8): the DST seed sweep,
-# the CR-MR ring / store probe tests, and the mutation smoke-check.
+# the CR-MR ring / store probe tests, the mutation smoke-check, and the cache
+# model's differential test against its plain reference model.
 #
 # Default: build the "default" preset and run the checks at the CI seed
 # budget (20 seeds per workload per system).
@@ -24,7 +25,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-CHECKS='dst_test|dst_determinism_test|dst_fault_test|dst_mutation_test|crmr_queue_test|store_test|fault_test'
+CHECKS='dst_test|dst_determinism_test|dst_fault_test|dst_mutation_test|crmr_queue_test|store_test|fault_test|cache_model_test'
 
 cmake --preset default >/dev/null
 cmake --build --preset default -j "$(nproc)"

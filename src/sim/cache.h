@@ -12,15 +12,18 @@
 //
 // Addresses are host addresses (the simulated software operates on real data
 // structures); allocate modeled data from sim::Arena for deterministic set
-// mapping.
+// mapping. The model's own state lives in per-set blocks on a huge-page
+// backed Arena (layout at MemoryModel's "set blocks" section).
 #ifndef UTPS_SIM_CACHE_H_
 #define UTPS_SIM_CACHE_H_
 
 #include <cstdint>
 #include <cstring>
+#include <new>
 #include <vector>
 
 #include "common/macros.h"
+#include "sim/arena.h"
 #include "sim/types.h"
 
 namespace utps::sim {
@@ -114,20 +117,19 @@ class MemoryModel {
         priv_sets_(1u << cfg.priv_sets_log2),
         priv_set_mask_(priv_sets_ - 1),
         llc_sets_(1u << cfg.llc_sets_log2),
-        llc_set_mask_(llc_sets_ - 1) {
+        llc_set_mask_(llc_sets_ - 1),
+        num_priv_blocks_(size_t{cfg.num_cores} * priv_sets_),
+        arena_(num_priv_blocks_ * sizeof(PrivBlock) + llc_sets_ * sizeof(LlcBlock)) {
     UTPS_CHECK(cfg.num_cores <= 32);
-    UTPS_CHECK(cfg.llc_ways <= 16);
-    UTPS_CHECK(cfg.priv_ways <= 16);
-    priv_stride_ = cfg.priv_ways + 2;
-    llc_stride_ = cfg.llc_ways + 2;
-    priv_.assign(size_t{cfg.num_cores} * priv_sets_ * priv_stride_, 0);
-    for (size_t s = 0; s < size_t{cfg.num_cores} * priv_sets_; s++) {
-      priv_[s * priv_stride_ + cfg.priv_ways] = IdentityOrder(cfg.priv_ways);
+    UTPS_CHECK(cfg.llc_ways <= kMaxLlcWays);
+    UTPS_CHECK(cfg.priv_ways <= kMaxPrivWays);
+    priv_blocks_ = arena_.AllocateArray<PrivBlock>(num_priv_blocks_, alignof(PrivBlock));
+    llc_blocks_ = arena_.AllocateArray<LlcBlock>(llc_sets_, alignof(LlcBlock));
+    for (size_t b = 0; b < num_priv_blocks_; b++) {
+      new (&priv_blocks_[b]) PrivBlock{.recency = IdentityOrder(cfg.priv_ways)};
     }
-    llc_.assign(size_t{llc_sets_} * cfg.llc_ways, LlcEntry{});
-    llc_tags_.assign(size_t{llc_sets_} * llc_stride_, 0);
     for (size_t s = 0; s < llc_sets_; s++) {
-      llc_tags_[s * llc_stride_ + cfg.llc_ways] = IdentityOrder(cfg.llc_ways);
+      new (&llc_blocks_[s]) LlcBlock{.recency = IdentityOrder(cfg.llc_ways)};
     }
     for (auto& m : clos_masks_) {
       m = cfg.AllWaysMask();
@@ -223,8 +225,7 @@ class MemoryModel {
     Tick total = 0;
     for (uint64_t line = first; line <= last; line++) {
       unsigned way;
-      uint32_t set = LlcSet(line);
-      if (LlcProbe(set, line, &way)) {
+      if (LlcProbe(llc_blocks_[LlcSet(line)], LlcTag(line), &way)) {
         total += cfg_.llc_hit_ns;
       } else {
         total += cfg_.dram_ns;
@@ -260,18 +261,14 @@ class MemoryModel {
   // Drop all cached state (used between benchmark points that share a
   // populated store).
   void FlushAll() {
-    // Clears tags and hints but leaves each set's recency word alone — the
-    // pre-colocation representation kept its order arrays across flushes, and
-    // byte-identical replay depends on preserving that.
-    for (size_t s = 0; s < priv_.size(); s += priv_stride_) {
-      std::fill(priv_.begin() + s, priv_.begin() + s + cfg_.priv_ways, 0);
-      priv_[s + cfg_.priv_ways + 1] = 0;  // hint
+    // Clears tags, hints and coherence state but leaves each set's recency
+    // word alone — the pre-colocation representation kept its order arrays
+    // across flushes, and byte-identical replay depends on preserving that.
+    for (size_t b = 0; b < num_priv_blocks_; b++) {
+      priv_blocks_[b] = PrivBlock{.recency = priv_blocks_[b].recency};
     }
-    std::fill(llc_.begin(), llc_.end(), LlcEntry{});
-    for (size_t s = 0; s < llc_tags_.size(); s += llc_stride_) {
-      std::fill(llc_tags_.begin() + s, llc_tags_.begin() + s + cfg_.llc_ways,
-                0);
-      llc_tags_[s + cfg_.llc_ways + 1] = 0;  // hint
+    for (size_t s = 0; s < llc_sets_; s++) {
+      llc_blocks_[s] = LlcBlock{.recency = llc_blocks_[s].recency};
     }
   }
 
@@ -280,14 +277,6 @@ class MemoryModel {
   static constexpr unsigned kMaxClos = 8;
 
  private:
-  // Per-way coherence state; the tag itself lives in the packed llc_tags_
-  // array so probes scan contiguous words instead of striding through these.
-  struct LlcEntry {
-    uint32_t sharers = 0;
-    int8_t owner = -1;  // core holding the line exclusively, -1 = shared
-    bool dirty = false;
-  };
-
   // ---------------------------------------------------------- recency words
   // A set's LRU order is one uint64: nibble i holds the way id at recency
   // rank i (rank 0 = MRU, rank ways-1 = LRU). Move-to-front, LRU-victim
@@ -307,12 +296,15 @@ class MemoryModel {
   static unsigned OrderAt(uint64_t word, unsigned rank) {
     return static_cast<unsigned>((word >> (4 * rank)) & 0xf);
   }
+  // Rank of `way`: XOR zeroes its nibble, and the has-zero-nibble test marks
+  // it. A borrow can also mark nibbles above the match, never below, and the
+  // unused nibbles above the set's ways are above it too, so the lowest mark
+  // is exact.
   static unsigned RankOf(uint64_t word, unsigned way) {
-    unsigned r = 0;
-    while (((word >> (4 * r)) & 0xf) != way) {
-      r++;
-    }
-    return r;
+    constexpr uint64_t kOnes = 0x1111111111111111ull;
+    const uint64_t x = word ^ (kOnes * way);
+    const uint64_t zero = (x - kOnes) & ~x & (kOnes << 3);
+    return static_cast<unsigned>(__builtin_ctzll(zero)) / 4;
   }
   // Moves the nibble at `rank` to rank 0, shifting ranks [0, rank) up one.
   static uint64_t ToFront(uint64_t word, unsigned rank) {
@@ -327,93 +319,150 @@ class MemoryModel {
     return (removed << 4) | way;
   }
 
+  // ------------------------------------------------------------ set blocks
+  // Each set is one block aligned to its size, so a probe touches one host
+  // cacheline: a private set is one 64 B line, an LLC set a 128 B pair whose
+  // first line holds everything a probe reads and whose second holds the
+  // coherence state that only hits and installs touch.
+  //
+  // A tag is the line's bits above the set index, offset so that the anchor
+  // line (the first line the model sees) sits at the centre of the tag
+  // window: tag = (line >> set_bits) + bias, with 0 reserved for an empty
+  // way. Private tags have 31 bits (bit 31 is the exclusive flag), LLC tags
+  // 32. The mapping is exact inside the window; a line outside it aborts in
+  // Anchor rather than aliasing another line's tag. With the default config
+  // every 47-bit user address fits whatever the anchor; the anchor matters
+  // for configs with few sets, whose tags keep more of the line's bits.
+  static constexpr unsigned kMaxPrivWays = 13;
+  static constexpr unsigned kMaxLlcWays = 12;
+  static constexpr uint32_t kExclBit = uint32_t{1} << 31;
+  static constexpr uint32_t kPrivTagMask = kExclBit - 1;
+  static constexpr uint64_t kPrivCentre = uint64_t{1} << 30;  // tags 1 .. 2^31-1
+  static constexpr uint64_t kLlcCentre = uint64_t{1} << 31;   // tags 1 .. 2^32-1
+
+  struct alignas(64) PrivBlock {
+    uint64_t recency = 0;               // nibble-packed LRU order
+    uint32_t tags[kMaxPrivWays] = {};   // bit 31 = exclusive copy (kExclBit)
+    uint8_t hint = 0;                   // last-hit way
+  };
+  struct alignas(128) LlcBlock {
+    uint64_t recency = 0;
+    uint32_t tags[kMaxLlcWays] = {};
+    uint8_t hint = 0;
+    alignas(64) uint32_t sharers[kMaxLlcWays] = {};  // core bitmap per way
+    int8_t owner[kMaxLlcWays] = {-1, -1, -1, -1, -1, -1,
+                                 -1, -1, -1, -1, -1, -1};  // -1 = shared
+    uint16_t dirty = 0;                                     // bit per way
+  };
+  static_assert(sizeof(PrivBlock) == 64 && sizeof(LlcBlock) == 128);
+  static_assert(kMaxLlcWays == 12, "owner initializer lists 12 ways");
+
   uint32_t PrivSet(uint64_t line) const {
     return static_cast<uint32_t>(line) & priv_set_mask_;
   }
   uint32_t LlcSet(uint64_t line) const {
     return static_cast<uint32_t>(line) & llc_set_mask_;
   }
-
-  size_t PrivBase(CoreId core, uint32_t set) const {
-    return (size_t{core} * priv_sets_ + set) * priv_stride_;
+  PrivBlock& PrivAt(CoreId core, uint32_t set) {
+    return priv_blocks_[(size_t{core} << cfg_.priv_sets_log2) | set];
   }
-  // Base into the colocated tag/order/hint blocks (llc_tags_).
-  size_t LlcTagBase(uint32_t set) const { return size_t{set} * llc_stride_; }
-  // Base into the per-way coherence entries (llc_).
-  size_t LlcBase(uint32_t set) const { return size_t{set} * cfg_.llc_ways; }
 
-  // Probe the private cache; on hit move the way to MRU position.
+  uint32_t PrivTag(uint64_t line) {
+    uint64_t t = (line >> cfg_.priv_sets_log2) + priv_bias_;
+    if (UTPS_UNLIKELY(t - 1 >= priv_window_)) {
+      Anchor(line);
+      t = (line >> cfg_.priv_sets_log2) + priv_bias_;
+    }
+    return static_cast<uint32_t>(t);
+  }
+  uint32_t LlcTag(uint64_t line) {
+    uint64_t t = (line >> cfg_.llc_sets_log2) + llc_bias_;
+    if (UTPS_UNLIKELY(t - 1 >= llc_window_)) {
+      Anchor(line);
+      t = (line >> cfg_.llc_sets_log2) + llc_bias_;
+    }
+    return static_cast<uint32_t>(t);
+  }
+  // Inverse of PrivTag / LlcTag for a valid (non-zero) tag of set `set`.
+  uint64_t PrivLine(uint32_t tag, uint32_t set) const {
+    return ((uint64_t{tag} - priv_bias_) << cfg_.priv_sets_log2) | set;
+  }
+  uint64_t LlcLine(uint32_t tag, uint32_t set) const {
+    return ((uint64_t{tag} - llc_bias_) << cfg_.llc_sets_log2) | set;
+  }
+
+  // First call: centres both tag windows on `line`. Both windows are empty
+  // until then, so the first tag computation always lands here. Any later
+  // call means a line outside a window.
+  [[gnu::noinline, gnu::cold]] void Anchor(uint64_t line) {
+    UTPS_CHECK_MSG(priv_window_ == 0,
+                   "line %#llx is outside the cache model's tag window",
+                   static_cast<unsigned long long>(line));
+    priv_bias_ = kPrivCentre - (line >> cfg_.priv_sets_log2);
+    llc_bias_ = kLlcCentre - (line >> cfg_.llc_sets_log2);
+    priv_window_ = kPrivTagMask;
+    llc_window_ = ~uint32_t{0};
+  }
+
+  // Probe a private set; on hit move the way to MRU position and return its
+  // tag word.
   //
-  // Scans the packed tag array instead of chasing the recency order. Unlike
-  // the LLC, a private set CAN briefly hold two copies of one line: the write
-  // -upgrade path in AccessLine calls PrivFill for a line that already sits
-  // in another way (shared), and the recency walk then always finds the newer
-  // exclusive copy — it is installed at MRU and relative order of the two
-  // copies never changes afterwards. So a multi-way match must be resolved
-  // through the order array to stay bit-identical to the baseline walk. The
-  // per-set last-hit-way hint is safe under this: PrivFill repoints it at the
-  // installed way, so a hint that still matches the tag is always the
-  // order-first copy.
-  bool PrivProbe(CoreId core, uint64_t line, size_t* entry_out) {
-    const size_t base = PrivBase(core, PrivSet(line));
-    const uint64_t tag = line + 1;
-    uint64_t* slot = priv_.data() + base;  // [tags x ways][order][hint]
-    const unsigned ways = cfg_.priv_ways;
-    uint64_t& order = slot[ways];
-    unsigned way = static_cast<unsigned>(slot[ways + 1]);
-    if ((slot[way] & kTagMask) != tag) {
+  // Unlike the LLC, a private set CAN briefly hold two copies of one line:
+  // the write-upgrade path in AccessLine calls PrivFill for a line that
+  // already sits in another way (shared), and the recency walk then always
+  // finds the newer exclusive copy — it is installed at MRU and relative
+  // order of the two copies never changes afterwards. So a multi-way match
+  // is resolved through the recency word. The per-set last-hit-way hint is
+  // safe under this: PrivFill repoints it at the installed way, so a hint
+  // that still matches the tag is always the order-first copy.
+  uint32_t* PrivProbe(PrivBlock& b, uint32_t tag) {
+    unsigned way = b.hint;
+    if ((b.tags[way] & kPrivTagMask) != tag) {
       uint32_t match = 0;
-      for (unsigned w = 0; w < ways; w++) {
-        match |= static_cast<uint32_t>((slot[w] & kTagMask) == tag) << w;
+      for (unsigned w = 0; w < cfg_.priv_ways; w++) {
+        match |= static_cast<uint32_t>((b.tags[w] & kPrivTagMask) == tag) << w;
       }
       if (match == 0) {
-        return false;
+        return nullptr;
       }
       if (UTPS_LIKELY((match & (match - 1)) == 0)) {
         way = static_cast<unsigned>(__builtin_ctz(match));
       } else {
         // Duplicate copies: first in recency order wins (baseline semantics).
         unsigned r = 0;
-        while ((match >> OrderAt(order, r) & 1u) == 0) {
+        while ((match >> OrderAt(b.recency, r) & 1u) == 0) {
           r++;
         }
-        way = OrderAt(order, r);
+        way = OrderAt(b.recency, r);
       }
-      slot[ways + 1] = way;
+      b.hint = static_cast<uint8_t>(way);
     }
-    order = ToFront(order, RankOf(order, way));
-    *entry_out = base + way;
-    return true;
+    b.recency = ToFront(b.recency, RankOf(b.recency, way));
+    return &b.tags[way];
   }
 
-  // Insert a line into the private cache; evicts LRU way. On eviction, clears
-  // the core's sharer bit in the LLC.
-  size_t PrivFill(CoreId core, uint64_t line, bool exclusive) {
-    const size_t base = PrivBase(core, PrivSet(line));
-    uint64_t* slot = priv_.data() + base;
-    const unsigned ways = cfg_.priv_ways;
-    uint64_t& order = slot[ways];
-    const unsigned victim = OrderAt(order, ways - 1);
-    const uint64_t old_tag = slot[victim] & kTagMask;
+  // Insert a line into private set `set` of `core` (block `b`); evicts the
+  // LRU way. On eviction, clears the core's sharer bit in the LLC.
+  void PrivFill(CoreId core, PrivBlock& b, uint32_t set, uint32_t tag, bool exclusive) {
+    const unsigned victim = OrderAt(b.recency, cfg_.priv_ways - 1);
+    const uint32_t old_tag = b.tags[victim] & kPrivTagMask;
     if (old_tag != 0) {
-      ClearSharer(core, old_tag - 1);
+      ClearSharer(core, PrivLine(old_tag, set));
     }
-    slot[victim] = (line + 1) | (exclusive ? kExclBit : 0);
+    b.tags[victim] = tag | (exclusive ? kExclBit : 0);
     // Keep the probe hint coherent: the installed copy is the one a recency
     // walk would now find first (matters when a write upgrade creates a
     // second copy of a line already in the set — see PrivProbe).
-    slot[ways + 1] = victim;
-    order = ToFront(order, ways - 1);
-    return base + victim;
+    b.hint = static_cast<uint8_t>(victim);
+    b.recency = ToFront(b.recency, cfg_.priv_ways - 1);
   }
 
   void PrivInvalidate(CoreId core, uint64_t line) {
-    const size_t base = PrivBase(core, PrivSet(line));
-    uint64_t* slot = priv_.data() + base;
-    const uint64_t tag = line + 1;
+    PrivBlock& b = PrivAt(core, PrivSet(line));
+    const uint32_t tag = PrivTag(line);
     for (unsigned w = 0; w < cfg_.priv_ways; w++) {
-      if ((slot[w] & kTagMask) == tag) {
-        slot[w] = 0;
+      if ((b.tags[w] & kPrivTagMask) == tag) {
+        b.tags[w] = 0;
         return;
       }
     }
@@ -421,37 +470,32 @@ class MemoryModel {
 
   void ClearSharer(CoreId core, uint64_t line) {
     unsigned way;
-    const uint32_t set = LlcSet(line);
-    if (LlcProbe(set, line, &way, /*touch=*/false)) {
-      LlcEntry& e = llc_[LlcBase(set) + way];
-      e.sharers &= ~(1u << core);
-      if (e.owner == static_cast<int8_t>(core)) {
-        e.owner = -1;
+    LlcBlock& b = llc_blocks_[LlcSet(line)];
+    if (LlcProbe(b, LlcTag(line), &way, /*touch=*/false)) {
+      b.sharers[way] &= ~(1u << core);
+      if (b.owner[way] == static_cast<int8_t>(core)) {
+        b.owner[way] = -1;
       }
     }
   }
 
-  // LLC probe: same packed-tag + hint structure as PrivProbe (see its
-  // comment for the equivalence argument).
-  bool LlcProbe(uint32_t set, uint64_t line, unsigned* way_out, bool touch = true) {
-    const uint64_t tag = line + 1;
-    uint64_t* slot = llc_tags_.data() + LlcTagBase(set);
-    const unsigned ways = cfg_.llc_ways;
-    unsigned way = static_cast<unsigned>(slot[ways + 1]);
-    if (slot[way] != tag) {
+  // LLC probe: same tag + hint structure as PrivProbe (see its comment for
+  // the equivalence argument); an LLC set never holds two copies of a line.
+  bool LlcProbe(LlcBlock& b, uint32_t tag, unsigned* way_out, bool touch = true) {
+    unsigned way = b.hint;
+    if (b.tags[way] != tag) {
       unsigned w = 0;
-      while (w < ways && slot[w] != tag) {
+      while (w < cfg_.llc_ways && b.tags[w] != tag) {
         w++;
       }
-      if (w == ways) {
+      if (w == cfg_.llc_ways) {
         return false;
       }
       way = w;
-      slot[ways + 1] = way;
+      b.hint = static_cast<uint8_t>(way);
     }
     if (touch) {
-      uint64_t& order = slot[ways];
-      order = ToFront(order, RankOf(order, way));
+      b.recency = ToFront(b.recency, RankOf(b.recency, way));
     }
     *way_out = way;
     return true;
@@ -459,50 +503,55 @@ class MemoryModel {
 
   // Choose an eviction victim within `allowed_mask`: the least recently used
   // way whose index is allowed (CAT semantics).
-  unsigned LlcVictim(uint32_t set, uint32_t allowed_mask) {
-    const uint64_t order = llc_tags_[LlcTagBase(set) + cfg_.llc_ways];
+  unsigned LlcVictim(const LlcBlock& b, uint32_t allowed_mask) const {
     for (int i = static_cast<int>(cfg_.llc_ways) - 1; i >= 0; i--) {
-      const unsigned way = OrderAt(order, static_cast<unsigned>(i));
+      const unsigned way = OrderAt(b.recency, static_cast<unsigned>(i));
       if (allowed_mask & (1u << way)) {
         return way;
       }
     }
     // Mask validated non-empty at SetClosMask; unreachable.
-    return OrderAt(order, cfg_.llc_ways - 1);
+    return OrderAt(b.recency, cfg_.llc_ways - 1);
   }
 
-  void LlcInstall(uint32_t set, unsigned way, uint64_t line, uint32_t sharers,
-                  int8_t owner, bool dirty) {
-    LlcEntry& e = llc_[LlcBase(set) + way];
-    uint64_t* slot = llc_tags_.data() + LlcTagBase(set);
-    if (slot[way] != 0) {
+  void LlcInstall(LlcBlock& b, uint32_t set, unsigned way, uint32_t tag,
+                  uint32_t sharers, int8_t owner, bool dirty) {
+    if (b.tags[way] != 0) {
       // Inclusive LLC: back-invalidate private copies of the victim line.
-      const uint64_t old_line = slot[way] - 1;
-      uint32_t s = e.sharers;
+      const uint64_t old_line = LlcLine(b.tags[way], set);
+      uint32_t s = b.sharers[way];
       while (s != 0) {
         const unsigned c = static_cast<unsigned>(__builtin_ctz(s));
         s &= s - 1;
         PrivInvalidate(static_cast<CoreId>(c), old_line);
       }
     }
-    slot[way] = line + 1;
-    slot[cfg_.llc_ways + 1] = way;  // hint
-    e.sharers = sharers;
-    e.owner = owner;
-    e.dirty = dirty;
+    b.tags[way] = tag;
+    b.hint = static_cast<uint8_t>(way);
+    b.sharers[way] = sharers;
+    b.owner[way] = owner;
+    SetDirty(b, way, dirty);
     // Installed line becomes MRU.
-    uint64_t& order = slot[cfg_.llc_ways];
-    order = ToFront(order, RankOf(order, way));
+    b.recency = ToFront(b.recency, RankOf(b.recency, way));
+  }
+
+  static void SetDirty(LlcBlock& b, unsigned way, bool dirty) {
+    b.dirty = static_cast<uint16_t>(dirty ? b.dirty | (1u << way)
+                                          : b.dirty & ~(1u << way));
+  }
+  static bool IsDirty(const LlcBlock& b, unsigned way) {
+    return ((b.dirty >> way) & 1u) != 0;
   }
 
   Tick AccessLine(CoreId core, ClosId clos, Stage stage, uint64_t line, bool write,
                   bool* priv_hit_out) {
     StageCounters& sc = counters_[core].by_stage[static_cast<unsigned>(stage)];
     sc.accesses++;
-    size_t pe;
-    const uint32_t set = LlcSet(line);
-    if (PrivProbe(core, line, &pe)) {
-      if (!write || (priv_[pe] & kExclBit) != 0) {
+    const uint32_t pset = PrivSet(line);
+    PrivBlock& pb = PrivAt(core, pset);
+    const uint32_t ptag = PrivTag(line);
+    if (const uint32_t* hit = PrivProbe(pb, ptag)) {
+      if (!write || (*hit & kExclBit) != 0) {
         sc.priv_hits++;
         // Write to an exclusive private copy: no LLC dirty-mark needed. An
         // exclusive copy is only ever installed by a write path, and every
@@ -518,13 +567,25 @@ class MemoryModel {
       // Write upgrade: fall through to the LLC to invalidate other sharers.
     }
     *priv_hit_out = false;
+    // The fill below evicts the private LRU way and clears its sharer bit
+    // in that line's LLC set: start loading that set now, so its host miss
+    // overlaps this line's LLC probe.
+    const uint32_t victim_tag =
+        pb.tags[OrderAt(pb.recency, cfg_.priv_ways - 1)] & kPrivTagMask;
+    if (victim_tag != 0) {
+      __builtin_prefetch(&llc_blocks_[LlcSet(PrivLine(victim_tag, pset))]);
+    }
+    const uint32_t set = LlcSet(line);
+    LlcBlock& b = llc_blocks_[set];
+    const uint32_t tag = LlcTag(line);
     unsigned way;
     Tick lat;
-    if (LlcProbe(set, line, &way)) {
-      LlcEntry& e = llc_[LlcBase(set) + way];
+    if (LlcProbe(b, tag, &way)) {
+      uint32_t& sharers = b.sharers[way];
+      int8_t& owner = b.owner[way];
       lat = cfg_.llc_hit_ns;
       sc.llc_hits++;
-      const uint32_t others = e.sharers & ~(1u << core);
+      const uint32_t others = sharers & ~(1u << core);
       if (write) {
         if (others != 0) {
           lat += cfg_.coherence_ns;
@@ -536,41 +597,40 @@ class MemoryModel {
             PrivInvalidate(static_cast<CoreId>(c), line);
           }
         }
-        e.sharers = 1u << core;
-        e.owner = static_cast<int8_t>(core);
-        e.dirty = true;
-        pe = PrivFill(core, line, /*exclusive=*/true);
-        RefreshSharersAfterFill(set, line, core, /*exclusive=*/true);
+        sharers = 1u << core;
+        owner = static_cast<int8_t>(core);
+        SetDirty(b, way, true);
+        PrivFill(core, pb, pset, ptag, /*exclusive=*/true);
+        RefreshSharersAfterFill(b, tag, core, /*exclusive=*/true);
       } else {
-        if (e.owner >= 0 && e.owner != static_cast<int8_t>(core) && e.dirty) {
+        if (owner >= 0 && owner != static_cast<int8_t>(core) && IsDirty(b, way)) {
           lat += cfg_.coherence_ns;  // dirty transfer from owner's cache
           sc.coherence++;
         }
-        e.owner = -1;
-        e.sharers |= 1u << core;
-        PrivFill(core, line, /*exclusive=*/false);
+        owner = -1;
+        sharers |= 1u << core;
+        PrivFill(core, pb, pset, ptag, /*exclusive=*/false);
       }
     } else {
       lat = cfg_.dram_ns;
       sc.llc_misses++;
-      const unsigned victim = LlcVictim(set, EffectiveMask(clos));
-      LlcInstall(set, victim, line, 1u << core,
+      const unsigned victim = LlcVictim(b, EffectiveMask(clos));
+      LlcInstall(b, set, victim, tag, 1u << core,
                  write ? static_cast<int8_t>(core) : int8_t{-1}, write);
-      PrivFill(core, line, /*exclusive=*/write);
+      PrivFill(core, pb, pset, ptag, /*exclusive=*/write);
     }
     return lat;
   }
 
   // PrivFill may evict the very line just installed elsewhere in the set walk
   // and clear sharer bits; re-assert this core's bit.
-  void RefreshSharersAfterFill(uint32_t set, uint64_t line, CoreId core,
+  void RefreshSharersAfterFill(LlcBlock& b, uint32_t tag, CoreId core,
                                bool exclusive) {
     unsigned way;
-    if (LlcProbe(set, line, &way, /*touch=*/false)) {
-      LlcEntry& e = llc_[LlcBase(set) + way];
-      e.sharers |= 1u << core;
+    if (LlcProbe(b, tag, &way, /*touch=*/false)) {
+      b.sharers[way] |= 1u << core;
       if (exclusive) {
-        e.owner = static_cast<int8_t>(core);
+        b.owner[way] = static_cast<int8_t>(core);
       }
     }
   }
@@ -578,26 +638,32 @@ class MemoryModel {
   Tick IoWriteLine(uint64_t line) {
     io_writes_++;
     const uint32_t set = LlcSet(line);
+    LlcBlock& b = llc_blocks_[set];
+    const uint32_t tag = LlcTag(line);
     unsigned way;
-    if (LlcProbe(set, line, &way)) {
+    if (LlcProbe(b, tag, &way)) {
       // DDIO update-in-place: any way, invalidate CPU private copies.
-      LlcEntry& e = llc_[LlcBase(set) + way];
-      uint32_t s = e.sharers;
+      uint32_t s = b.sharers[way];
       while (s != 0) {
         const unsigned c = static_cast<unsigned>(__builtin_ctz(s));
         s &= s - 1;
         PrivInvalidate(static_cast<CoreId>(c), line);
       }
-      e.sharers = 0;
-      e.owner = -1;
-      e.dirty = true;
+      b.sharers[way] = 0;
+      b.owner[way] = -1;
+      SetDirty(b, way, true);
       return cfg_.llc_hit_ns;
     }
     // DDIO allocating write: restricted to the DDIO ways.
     io_write_misses_++;
-    const unsigned victim = LlcVictim(set, cfg_.DdioMask());
-    LlcInstall(set, victim, line, /*sharers=*/0, /*owner=*/-1, /*dirty=*/true);
+    const unsigned victim = LlcVictim(b, cfg_.DdioMask());
+    LlcInstall(b, set, victim, tag, /*sharers=*/0, /*owner=*/-1, /*dirty=*/true);
     return cfg_.dram_ns;
+  }
+
+  uint32_t EffectiveMask(ClosId clos) const {
+    const uint32_t m = clos_masks_[clos] & ~stolen_mask_;
+    return m != 0 ? m : clos_masks_[clos];
   }
 
   MachineConfig cfg_;
@@ -605,29 +671,18 @@ class MemoryModel {
   uint32_t priv_set_mask_;
   uint32_t llc_sets_;
   uint32_t llc_set_mask_;
-
-  // Colocated set blocks: one probe touches one contiguous run of u64s
-  // instead of striding three arrays (tags / recency / hint), which is worth
-  // a sizable slice of AccessLine's wall time (DESIGN.md §13). Layout per
-  // set, stride = ways + 2:
-  //   [0, ways)   tag words: line+1 (0 invalid); private tags carry the
-  //               exclusive flag in bit 63 (kExclBit) — probes compare under
-  //               kTagMask, so duplicate copies with different exclusivity
-  //               still match as the same line
-  //   [ways]      nibble-packed recency word (see IdentityOrder)
-  //   [ways + 1]  last-hit way hint
-  static constexpr uint64_t kExclBit = uint64_t{1} << 63;
-  static constexpr uint64_t kTagMask = kExclBit - 1;
-  unsigned priv_stride_ = 0;
-  unsigned llc_stride_ = 0;
-  std::vector<uint64_t> priv_;      // [core][set] colocated block
-  std::vector<LlcEntry> llc_;       // [set][way] coherence state
-  std::vector<uint64_t> llc_tags_;  // [set] colocated block (no excl bit)
-
-  uint32_t EffectiveMask(ClosId clos) const {
-    const uint32_t m = clos_masks_[clos] & ~stolen_mask_;
-    return m != 0 ? m : clos_masks_[clos];
-  }
+  size_t num_priv_blocks_;
+  // Huge-page backed storage for every set block: priv_blocks_ is [core][set],
+  // llc_blocks_ is [set].
+  Arena arena_;
+  PrivBlock* priv_blocks_ = nullptr;
+  LlcBlock* llc_blocks_ = nullptr;
+  // Tag window (see Anchor): bias added to a line's upper bits, and the
+  // number of usable tags; both windows stay empty until the first line.
+  uint64_t priv_bias_ = 0;
+  uint64_t llc_bias_ = 0;
+  uint64_t priv_window_ = 0;
+  uint64_t llc_window_ = 0;
 
   uint32_t clos_masks_[kMaxClos] = {};
   uint32_t stolen_mask_ = 0;  // LLC ways held by a simulated noisy neighbor

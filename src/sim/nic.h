@@ -45,7 +45,6 @@ struct NicMessage {
   uint32_t wire_bytes = 0;          // total on-wire size
   OneShot* completion = nullptr;    // response completion (owned by client)
   void* copy_out = nullptr;         // client buffer for response payload
-  uint32_t copy_out_len = 0;        // filled on the server-side message copy
   uint32_t* resp_len_out = nullptr; // client-owned: receives the payload length
   Tick issue_tick = 0;
   Tick arrival_tick = 0;
@@ -322,12 +321,12 @@ class Nic {
       if (!req.gate->AcceptsResponse(req.rid)) {
         return;
       }
-      CopyOut(req, resp_src, resp_payload_len, true);
+      CopyOut(req, resp_src, resp_payload_len);
       const Tick at = dep + cfg_.rtt_ns / 2;
       req.gate->Complete(at < srv.Now() ? srv.Now() : at);
       return;
     }
-    CopyOut(req, resp_src, resp_payload_len, req.completion != nullptr);
+    CopyOut(req, resp_src, resp_payload_len);
     if (req.completion != nullptr) {
       req.completion->Complete(*eng_, dep + cfg_.rtt_ns / 2);
     }
@@ -352,7 +351,7 @@ class Nic {
       if (!req.gate->AcceptsResponse(req.rid)) {
         return;
       }
-      CopyOut(req, resp_src, resp_payload_len, true);
+      CopyOut(req, resp_src, resp_payload_len);
       const Tick at = dep + cfg_.rtt_ns / 2 + f.extra_delay;
       req.gate->Complete(at < srv.Now() ? srv.Now() : at);
       return;
@@ -360,7 +359,7 @@ class Nic {
     // Legacy OneShot client under an active fault plan: dropping the single
     // completion would hang the client, so only the delay spike applies.
     // Message-level loss requires the rid/gate retry path.
-    CopyOut(req, resp_src, resp_payload_len, req.completion != nullptr);
+    CopyOut(req, resp_src, resp_payload_len);
     if (req.completion != nullptr) {
       req.completion->Complete(*eng_, dep + cfg_.rtt_ns / 2 + f.extra_delay);
     }
@@ -445,18 +444,14 @@ class Nic {
   bool FastForward() const { return mem_ != nullptr && mem_->fast_forward(); }
 
   // Response delivery into the client's buffers: the payload copy (when the
-  // request asked for one), the client's length word, and — when
-  // `set_copy_len` — copy_out_len on the server-side message copy.
+  // request asked for one) and the client's length word.
   static void CopyOut(const NicMessage& req, const void* resp_src,
-                      uint32_t resp_payload_len, bool set_copy_len) {
+                      uint32_t resp_payload_len) {
     if (req.copy_out != nullptr && resp_src != nullptr) {
       std::memcpy(req.copy_out, resp_src, resp_payload_len);
     }
     if (req.resp_len_out != nullptr) {
       *req.resp_len_out = resp_payload_len;
-    }
-    if (set_copy_len) {
-      const_cast<NicMessage&>(req).copy_out_len = resp_payload_len;
     }
   }
 
